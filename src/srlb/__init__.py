@@ -38,6 +38,7 @@ from .incidence import (
     find_kab,
     pair_coverage,
     richness_histogram,
+    verify_instance,
     verify_no_k2beta,
 )
 from .reporting import (
@@ -97,5 +98,6 @@ __all__ = [
     "richness_histogram",
     "run_plan",
     "slab_query_for",
+    "verify_instance",
     "verify_no_k2beta",
 ]

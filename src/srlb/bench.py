@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import InsufficientData
 from .geometry import (
@@ -34,7 +34,6 @@ class ExperimentPlan:
     t_rule: str
     seed: int
     leaf_capacity: int = DEFAULT_LEAF_CAPACITY
-    out: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.sizes:
@@ -70,32 +69,6 @@ def select_query_ids(m: int, seed: int, limit: int = MAX_QUERIES_PER_INSTANCE) -
     return sorted(random.Random(seed).sample(range(m), limit))
 
 
-def iter_instance_rows(
-    params: InstanceParams, seed: int, leaf_capacity: int = DEFAULT_LEAF_CAPACITY
-) -> Iterator[dict]:
-    """Yield per-query rows in query-id order, then 'mean' and 'max' rows.
-
-    A generator so callers can flush each row before the next query runs;
-    a failure mid-instance leaves the completed rows behind.
-    """
-    points = generate_points(params)
-    tree = build_kdtree(points, leaf_capacity=leaf_capacity)
-    per_query = []
-    for qid in select_query_ids(params.m, seed):
-        _, stats = query(tree, slab_query_for(hyperplane_at(params, qid)))
-        row = stats_row(params.n, params.d, qid, stats.points_reported, stats)
-        per_query.append(row)
-        yield row
-    yield from aggregate_rows(per_query)
-
-
-def run_instance(
-    params: InstanceParams, seed: int, leaf_capacity: int = DEFAULT_LEAF_CAPACITY
-) -> list[dict]:
-    """Slab-query every (sampled) family hyperplane; rows ordered by query id."""
-    return list(iter_instance_rows(params, seed, leaf_capacity))
-
-
 def aggregate_rows(per_query_rows: Sequence[dict]) -> list[dict]:
     """One 'mean' and one 'max' row aggregating every stat column."""
     if not per_query_rows:
@@ -117,12 +90,26 @@ def aggregate_rows(per_query_rows: Sequence[dict]) -> list[dict]:
     ]
 
 
-def run_plan(plan: ExperimentPlan) -> list[dict]:
-    rows = []
+def run_plan(plan: ExperimentPlan) -> Iterator[tuple[InstanceParams, dict]]:
+    """Slab-query every (sampled) family hyperplane of each size in turn.
+
+    Yields (params, row): per instance, the per-query rows in query-id
+    order, then its 'mean' and 'max' rows.  A generator so callers can
+    flush each row before the next query runs; a failure mid-instance
+    leaves the completed rows behind.
+    """
     for n in plan.sizes:
         params = plan.resolve_params(n)
-        rows.extend(run_instance(params, plan.seed, plan.leaf_capacity))
-    return rows
+        points = generate_points(params)
+        tree = build_kdtree(points, leaf_capacity=plan.leaf_capacity)
+        per_query = []
+        for qid in select_query_ids(params.m, plan.seed):
+            _, stats = query(tree, slab_query_for(hyperplane_at(params, qid)))
+            row = stats_row(params.n, params.d, qid, stats.points_reported, stats)
+            per_query.append(row)
+            yield params, row
+        for row in aggregate_rows(per_query):
+            yield params, row
 
 
 def fit_loglog(pairs: Sequence[tuple[Union[int, float], float]]) -> FitResult:

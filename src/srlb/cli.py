@@ -1,16 +1,13 @@
 """Command-line front end: gen, verify, bench, fit, bound.
 
 Exit codes: 0 success, 2 validation failure (bad arguments, invalid
-parameters, failed verification), 3 resource budget exceeded.  The
-SRLB_BUDGET environment variable overrides the default pair-coverage
-budget; an explicit --budget flag wins over both.
+parameters, failed verification), 3 resource budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,7 +22,6 @@ from .errors import (
 )
 from .geometry import (
     InstanceParams,
-    eval_hyperplane,
     generate_hyperplanes,
     generate_points,
     normalize_params,
@@ -35,17 +31,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
-BUDGET_ENV_VAR = "SRLB_BUDGET"
-
-
-def _resolve_budget(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return incidence.DEFAULT_PAIR_BUDGET
-
 
 def _default_instance_path(params: InstanceParams) -> Path:
     return Path(f"instance_d{params.d}_n{params.n}_t{params.t}.json")
@@ -53,6 +38,8 @@ def _default_instance_path(params: InstanceParams) -> Path:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     params = normalize_params(args.d, args.n, args.t)
+    # Write only instances that verify can check at its default budget.
+    incidence.check_instance_cost(params)
     points = generate_points(params)
     hyperplanes = generate_hyperplanes(params)
     out = Path(args.out) if args.out else _default_instance_path(params)
@@ -67,29 +54,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    budget = _resolve_budget(args.budget)
     doc = io.load_instance(args.instance)
-    params = doc.params
-    points = doc.materialized_points()
-    hyperplanes = doc.materialized_hyperplanes()
-
-    graph = incidence.build_incidence_graph(points, hyperplanes)
-    histogram = incidence.richness_histogram(graph)
-    max_common, _ = incidence.pair_coverage(graph, budget=budget)
-    beta_bound = params.pair_coverage_bound()
-    top = (params.s,) * (params.d - 1)
-    containment_ok = all(
-        1 <= eval_hyperplane(h, top) <= params.rows for h in hyperplanes
-    )
-    report = {
-        "richness_exact": histogram == {params.t: params.m},
-        "max_pair_coverage": max_common,
-        "beta_bound": beta_bound,
-        "k2beta_free": max_common <= beta_bound,
-        "containment_ok": containment_ok,
-    }
+    report = incidence.verify_instance(doc, budget=args.budget)
     print(json.dumps(report))
-    passed = report["richness_exact"] and report["k2beta_free"] and containment_ok
+    passed = report["richness_exact"] and report["k2beta_free"] and report["containment_ok"]
     return EXIT_OK if passed else EXIT_VALIDATION
 
 
@@ -101,27 +69,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
         t_rule=args.t_rule,
         seed=args.seed,
         leaf_capacity=args.leaf_capacity,
-        out=args.out,
     )
     stamp = datetime.now(timezone.utc).isoformat()
     comment = (
         f"srlb bench {stamp} d={plan.d} t_rule={plan.t_rule}"
         f" seed={plan.seed} leaf_capacity={plan.leaf_capacity}"
     )
-    with io.StatsCsvWriter(plan.out, comment=comment) as writer:
-        for n in plan.sizes:
-            params = plan.resolve_params(n)
-            instance_rows = []
-            for row in bench_mod.iter_instance_rows(params, plan.seed, plan.leaf_capacity):
-                writer.write_rows([row])
-                instance_rows.append(row)
-            mean_row, max_row = instance_rows[-2], instance_rows[-1]
-            print(
-                f"n={params.n} t={params.t} m={params.m}"
-                f" queries={len(instance_rows) - 2}"
-                f" mean_visits={io.format_stat(mean_row['nodes_visited'])}"
-                f" max_visits={io.format_stat(max_row['nodes_visited'])}"
-            )
+    instance_rows: list[dict] = []
+    with io.StatsCsvWriter(args.out, comment=comment) as writer:
+        for params, row in bench_mod.run_plan(plan):
+            writer.write_rows([row])
+            instance_rows.append(row)
+            if row["query_id"] == "max":
+                mean_row, max_row = instance_rows[-2], instance_rows[-1]
+                print(
+                    f"n={params.n} t={params.t} m={params.m}"
+                    f" queries={len(instance_rows) - 2}"
+                    f" mean_visits={io.format_stat(mean_row['nodes_visited'])}"
+                    f" max_visits={io.format_stat(max_row['nodes_visited'])}"
+                )
+                instance_rows = []
     return EXIT_OK
 
 
@@ -170,7 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verify an instance file")
     verify.add_argument("instance", help="instance JSON path")
-    verify.add_argument("--budget", type=int, help="pair-coverage work budget")
+    verify.add_argument(
+        "--budget", type=int, default=incidence.DEFAULT_PAIR_BUDGET,
+        help="work budget for each verification phase",
+    )
     verify.set_defaults(func=cmd_verify)
 
     run = sub.add_parser("bench", help="benchmark slab queries over a size sweep")

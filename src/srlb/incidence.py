@@ -13,13 +13,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InstanceTooLarge
 from .exact import MAX_POINTS, as_int64_array, check_int64
-from .geometry import GridPoint, Hyperplane, InstanceParams
+from .geometry import GridPoint, Hyperplane, InstanceParams, eval_hyperplane
+
+if TYPE_CHECKING:
+    from .io import InstanceDocument
 
 DEFAULT_PAIR_BUDGET = 10**9
 
@@ -161,6 +164,51 @@ def verify_no_k2beta(
     """
     max_common, _ = pair_coverage(graph, budget=budget)
     return max_common <= params.pair_coverage_bound()
+
+
+def check_instance_cost(params: InstanceParams, budget: int = DEFAULT_PAIR_BUDGET) -> None:
+    """Refuse an instance whose verification would exceed `budget`.
+
+    Works from the parameters alone, so it runs before anything is
+    generated.  Each phase is charged on its own: the n*m point/hyperplane
+    tests of the incidence scan (which also bound the n points and m
+    hyperplanes generated) and the m*t**2 pair-enumeration cost that
+    pair_coverage charges a t-rich family.
+    """
+    costs = {
+        "incidence tests": params.n * params.m,
+        "pair enumeration cost": params.m * params.t**2,
+    }
+    over = [f"{name} {cost}" for name, cost in costs.items() if cost > budget]
+    if over:
+        raise InstanceTooLarge(f"over the budget of {budget}: {', '.join(over)}")
+
+
+def verify_instance(doc: InstanceDocument, budget: int = DEFAULT_PAIR_BUDGET) -> dict:
+    """Check a loaded instance against its own params; the `srlb verify` report.
+
+    Richness must be exactly {t: m}, no two points may share more than
+    A**(d-2) hyperplanes, and every hyperplane must stay inside the grid at
+    the top corner of the base.  Sections missing from the document are
+    regenerated from params once check_instance_cost has admitted them.
+    """
+    params = doc.params
+    check_instance_cost(params, budget)
+    hyperplanes = doc.materialized_hyperplanes()
+    graph = build_incidence_graph(doc.materialized_points(), hyperplanes)
+    histogram = richness_histogram(graph)
+    max_common, _ = pair_coverage(graph, budget=budget)
+    beta_bound = params.pair_coverage_bound()
+    top = (params.s,) * (params.d - 1)
+    return {
+        "richness_exact": histogram == {params.t: params.m},
+        "max_pair_coverage": max_common,
+        "beta_bound": beta_bound,
+        "k2beta_free": max_common <= beta_bound,
+        "containment_ok": all(
+            1 <= eval_hyperplane(h, top) <= params.rows for h in hyperplanes
+        ),
+    }
 
 
 def find_kab(

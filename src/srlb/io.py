@@ -1,4 +1,4 @@
-"""File formats: instance JSON, incidence-graph JSON, query batches, stats CSV.
+"""File formats: instance JSON and stats CSV.
 
 Instance documents look like
 
@@ -6,7 +6,6 @@ Instance documents look like
      "points": [[ints]],                      # optional, regenerable
      "hyperplanes": [{"a": [ints], "b": int}]}  # optional, regenerable
 
-Graph documents extend the instance schema with "adjacency": [[ints]].
 Stats CSV rows use the header n,d,query_id,k,nodes_visited,leaves_scanned,
 points_tested; per-instance aggregate rows reuse the schema with query_id
 "mean" and "max".
@@ -28,8 +27,8 @@ from .geometry import (
     generate_hyperplanes,
     generate_points,
 )
-from .incidence import BoundReport, IncidenceGraph
-from .reporting import Halfspace, QueryStats, SimplexQuery
+from .incidence import BoundReport
+from .reporting import QueryStats
 
 PathLike = Union[str, Path]
 
@@ -131,25 +130,6 @@ def load_instance(path: PathLike) -> InstanceDocument:
     return instance_from_dict(json.loads(Path(path).read_text()))
 
 
-def graph_to_dict(params: InstanceParams, graph: IncidenceGraph) -> dict:
-    doc = instance_to_dict(params)
-    doc["adjacency"] = [list(row) for row in graph.adjacency]
-    return doc
-
-
-def graph_from_dict(doc: dict) -> tuple[InstanceParams, IncidenceGraph]:
-    if "adjacency" not in doc:
-        raise ValueError("graph document has no 'adjacency' array")
-    params = params_from_dict(doc["params"])
-    adjacency = tuple(tuple(int(i) for i in row) for row in doc["adjacency"])
-    graph = IncidenceGraph(
-        point_count=params.n,
-        hyperplane_count=len(adjacency),
-        adjacency=adjacency,
-    )
-    return params, graph
-
-
 def bound_report_to_dict(report: BoundReport) -> dict:
     return {
         "m": report.m,
@@ -163,41 +143,6 @@ def bound_report_to_dict(report: BoundReport) -> dict:
 
 def _fraction_to_dict(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
-
-
-def query_batch_to_list(queries: Sequence[SimplexQuery]) -> list:
-    return [
-        {
-            "constraints": [
-                {"normal": list(h.normal), "offset": h.offset, "sense": h.sense}
-                for h in q.constraints
-            ]
-        }
-        for q in queries
-    ]
-
-
-def query_batch_from_list(raw: list) -> list[SimplexQuery]:
-    queries = []
-    for entry in raw:
-        constraints = tuple(
-            Halfspace(
-                normal=tuple(int(c) for c in h["normal"]),
-                offset=int(h["offset"]),
-                sense=str(h["sense"]),
-            )
-            for h in entry["constraints"]
-        )
-        queries.append(SimplexQuery(constraints=constraints))
-    return queries
-
-
-def save_query_batch(path: PathLike, queries: Sequence[SimplexQuery]) -> None:
-    Path(path).write_text(json.dumps(query_batch_to_list(queries)))
-
-
-def load_query_batch(path: PathLike) -> list[SimplexQuery]:
-    return query_batch_from_list(json.loads(Path(path).read_text()))
 
 
 def format_stat(value: Union[int, float]) -> str:
@@ -235,16 +180,6 @@ class StatsCsvWriter:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def write_stats_csv(
-    path: PathLike,
-    rows: Sequence[dict],
-    comment: Optional[str] = None,
-) -> None:
-    """Write stats rows; an optional leading '#' comment carries the timestamp."""
-    with StatsCsvWriter(path, comment=comment) as writer:
-        writer.write_rows(rows)
 
 
 def read_stats_csv(path: PathLike) -> list[dict]:

@@ -8,13 +8,15 @@ from srlb.bench import (
     aggregate_rows,
     fit_from_rows,
     fit_loglog,
-    run_instance,
     run_plan,
     select_query_ids,
 )
 from srlb.errors import InsufficientData, RangeTooTight
-from srlb.geometry import normalize_params
 from srlb.io import stats_row
+
+
+def plan_rows(plan):
+    return [row for _, row in run_plan(plan)]
 
 
 class TestExperimentPlan:
@@ -60,9 +62,12 @@ class TestQuerySampling:
 
 
 class TestRunInstance:
+    """One instance's rows, as run_plan yields them."""
+
     def test_planar_rows(self):
-        params = normalize_params(2, 16, 2)
-        rows = run_instance(params, seed=0)
+        plan = ExperimentPlan(d=2, sizes=(16,), t_rule="fixed:2", seed=0)
+        params = plan.resolve_params(16)
+        rows = plan_rows(plan)
         per_query, aggregates = rows[:-2], rows[-2:]
         assert [r["query_id"] for r in per_query] == list(range(8))
         assert all(r["k"] == params.t for r in per_query)
@@ -122,12 +127,13 @@ class TestFit:
 class TestRunPlan:
     def test_rows_grouped_and_ordered(self):
         plan = ExperimentPlan(d=2, sizes=(64, 256), t_rule="fixed:2", seed=0)
-        rows = run_plan(plan)
+        rows = plan_rows(plan)
         sizes = [r["n"] for r in rows if r["query_id"] == "mean"]
         assert sizes == [64, 256]
         fit_input = [r for r in rows if r["query_id"] == "mean"]
         assert all(isinstance(r["nodes_visited"], float) for r in fit_input)
+        assert all(params.n == row["n"] for params, row in run_plan(plan))
 
     def test_deterministic(self):
         plan = ExperimentPlan(d=2, sizes=(64, 256), t_rule="auto", seed=5)
-        assert run_plan(plan) == run_plan(plan)
+        assert plan_rows(plan) == plan_rows(plan)

@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+import srlb.cli
+import srlb.geometry
+import srlb.io
 from srlb.cli import main
 from srlb.geometry import largest_valid_richness
+from srlb.incidence import verify_instance
 from srlb.io import load_instance, read_stats_csv
 
 
@@ -114,16 +118,6 @@ class TestVerify:
         assert rc == 3
         assert "budget" in stderr
 
-    def test_budget_env_var(self, instance_file, capsys, monkeypatch):
-        monkeypatch.setenv("SRLB_BUDGET", "1")
-        rc, _, _ = run_cli(capsys, "verify", str(instance_file))
-        assert rc == 3
-
-    def test_flag_overrides_env(self, instance_file, capsys, monkeypatch):
-        monkeypatch.setenv("SRLB_BUDGET", "1")
-        rc, _, _ = run_cli(capsys, "verify", str(instance_file), "--budget", "1000000")
-        assert rc == 0
-
     def test_missing_file(self, tmp_path, capsys):
         rc, _, stderr = run_cli(capsys, "verify", str(tmp_path / "nope.json"))
         assert rc == 2
@@ -136,6 +130,49 @@ class TestVerify:
         rc, stdout, _ = run_cli(capsys, "verify", str(path))
         assert rc == 0
         assert last_json(stdout)["richness_exact"] is True
+
+    def test_library_report_matches_cli(self, instance_file, capsys):
+        rc, stdout, _ = run_cli(capsys, "verify", str(instance_file))
+        assert rc == 0
+        assert verify_instance(load_instance(instance_file)) == last_json(stdout)
+
+
+# gen -d 2 -n 65536 -t 2 normalizes to m = 2**27 hyperplanes: n*m is about 8.8e12.
+OVERSIZED_PARAMS = {"d": 2, "s": 2, "t": 2, "n": 65536, "A": 8192, "B": 16384, "m": 2**27}
+
+
+@pytest.fixture
+def no_generation(monkeypatch):
+    """Fail the test if points or hyperplanes are generated, wherever looked up."""
+    def refuse(params):
+        raise AssertionError(f"instance {params} generated before the pre-flight")
+
+    for module in (srlb.geometry, srlb.io, srlb.cli):
+        monkeypatch.setattr(module, "generate_points", refuse)
+        monkeypatch.setattr(module, "generate_hyperplanes", refuse)
+
+
+class TestPreflight:
+    def test_gen_refuses_oversized(self, tmp_path, capsys, no_generation):
+        out = tmp_path / "big.json"
+        rc, _, stderr = run_cli(capsys, "gen", "-d", "2", "-n", "65536", "-t", "2",
+                                "--out", str(out))
+        assert rc == 3
+        assert "budget" in stderr
+        assert not out.exists()
+
+    def test_verify_refuses_oversized_params_only(self, tmp_path, capsys, no_generation):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"params": OVERSIZED_PARAMS}))
+        rc, stdout, stderr = run_cli(capsys, "verify", str(path))
+        assert rc == 3
+        assert "budget" in stderr
+        assert stdout == ""
+
+    def test_budget_bounds_incidence_scan(self, instance_file, capsys):
+        # d=2, n=16: n*m = 128 point/hyperplane tests, pair cost m*t**2 = 32.
+        assert run_cli(capsys, "verify", str(instance_file), "--budget", "127")[0] == 3
+        assert run_cli(capsys, "verify", str(instance_file), "--budget", "128")[0] == 0
 
 
 class TestBenchAndFit:

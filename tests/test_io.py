@@ -1,29 +1,21 @@
-import json
-
 import pytest
 
-from srlb.geometry import Hyperplane, normalize_params
-from srlb.incidence import bound_report, build_incidence_graph
+from srlb.geometry import normalize_params
+from srlb.incidence import bound_report
 from srlb.io import (
     STATS_HEADER,
     StatsCsvWriter,
     bound_report_to_dict,
     format_stat,
-    graph_from_dict,
-    graph_to_dict,
     instance_from_dict,
     instance_to_dict,
     load_instance,
-    load_query_batch,
     params_from_dict,
     params_to_dict,
     read_stats_csv,
     save_instance,
-    save_query_batch,
     stats_row,
-    write_stats_csv,
 )
-from srlb.reporting import Halfspace, SimplexQuery
 
 
 class TestParamsSchema:
@@ -84,21 +76,6 @@ class TestInstanceSchema:
             instance_from_dict({"points": [[1, 1]]})
 
 
-class TestGraphSchema:
-    def test_round_trip(self, d2_instance, d2_graph):
-        params, points, hyperplanes = d2_instance
-        _, graph = d2_graph
-        doc = graph_to_dict(params, graph)
-        assert doc["adjacency"] == [list(r) for r in graph.adjacency]
-        params2, graph2 = graph_from_dict(doc)
-        assert params2 == params and graph2 == graph
-
-    def test_adjacency_required(self, d2_instance):
-        params, _, _ = d2_instance
-        with pytest.raises(ValueError):
-            graph_from_dict(instance_to_dict(params))
-
-
 class TestBoundReportSchema:
     def test_exact_rationals(self):
         report = bound_report(normalize_params(3, 96, 4))
@@ -106,20 +83,6 @@ class TestBoundReportSchema:
         assert doc["figure_of_merit"] == {"num": 512, "den": 5}
         assert doc["exponent"] == {"num": 2, "den": 3}
         assert doc["alpha"] == 2 and doc["beta"] == 5
-
-
-class TestQueryBatchSchema:
-    def test_round_trip(self, tmp_path):
-        queries = [
-            SimplexQuery((Halfspace(normal=(-1, 1), offset=3, sense="le"),
-                          Halfspace(normal=(-1, 1), offset=3, sense="ge"))),
-            SimplexQuery((Halfspace(normal=(2, -5), offset=-7, sense="ge"),)),
-        ]
-        path = tmp_path / "batch.json"
-        save_query_batch(path, queries)
-        raw = json.loads(path.read_text())
-        assert raw[0]["constraints"][0] == {"normal": [-1, 1], "offset": 3, "sense": "le"}
-        assert load_query_batch(path) == queries
 
 
 class TestStatsCsv:
@@ -130,7 +93,8 @@ class TestStatsCsv:
                       points_tested=8.0),
         ]
         path = tmp_path / "stats.csv"
-        write_stats_csv(path, rows, comment="ts 2024")
+        with StatsCsvWriter(path, comment="ts 2024") as writer:
+            writer.write_rows(rows)
         text = path.read_text().splitlines()
         assert text[0] == "# ts 2024"
         assert text[1] == ",".join(STATS_HEADER)
