@@ -4,6 +4,7 @@ import pytest
 
 import srlb.cli
 import srlb.geometry
+import srlb.incidence
 import srlb.io
 from srlb.cli import main
 from srlb.geometry import largest_valid_richness
@@ -165,6 +166,23 @@ class TestPreflight:
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"params": OVERSIZED_PARAMS}))
         rc, stdout, stderr = run_cli(capsys, "verify", str(path))
+        assert rc == 3
+        assert "budget" in stderr
+        assert stdout == ""
+
+    def test_verify_charges_stored_sections(self, instance_file, capsys, monkeypatch):
+        # params claim n*m = 128, but 16 points times 100,000 stored hyperplanes
+        # is 1.6e6 incidence tests.
+        doc = json.loads(instance_file.read_text())
+        doc["hyperplanes"] *= 12500
+        assert len(doc["hyperplanes"]) == 100_000
+        instance_file.write_text(json.dumps(doc))
+
+        def refuse(points, hyperplanes):
+            raise AssertionError("incidence graph built before the stored sections were charged")
+
+        monkeypatch.setattr(srlb.incidence, "build_incidence_graph", refuse)
+        rc, stdout, stderr = run_cli(capsys, "verify", str(instance_file), "--budget", "1000")
         assert rc == 3
         assert "budget" in stderr
         assert stdout == ""

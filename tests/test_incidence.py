@@ -1,6 +1,8 @@
 import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from srlb.errors import (
@@ -9,7 +11,7 @@ from srlb.errors import (
     DimensionMismatch,
     InstanceTooLarge,
 )
-from srlb.exact import INT64_MAX
+from srlb.exact import INT64_MAX, as_int64_array, check_int64
 from srlb.geometry import (
     Hyperplane,
     InstanceParams,
@@ -27,6 +29,36 @@ from srlb.incidence import (
     richness_histogram,
     verify_no_k2beta,
 )
+
+
+def naive_incidence_graph(points, hyperplanes):
+    """Reference implementation: test every (hyperplane, point) pair."""
+    dims = {len(p) for p in points} | {h.d for h in hyperplanes}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"mixed dimensions in input: {sorted(dims)}")
+
+    if not points or not hyperplanes:
+        return IncidenceGraph(
+            point_count=len(points),
+            hyperplane_count=len(hyperplanes),
+            adjacency=tuple(() for _ in hyperplanes),
+        )
+
+    coords = as_int64_array(points, "point coordinates")
+    base, last = coords[:, :-1], coords[:, -1]
+    max_abs = np.abs(base).max(axis=0)
+    adjacency = []
+    for h in hyperplanes:
+        # int64 matmul must not wrap, even for out-of-family hyperplanes.
+        bound = sum(abs(c) * int(mx) for c, mx in zip(h.a, max_abs)) + abs(h.b)
+        check_int64(bound, f"incidence evaluation bound for {h}")
+        values = base @ as_int64_array(h.a, "hyperplane coefficients") + h.b
+        adjacency.append(tuple(int(i) for i in np.flatnonzero(values == last)))
+    return IncidenceGraph(
+        point_count=len(points),
+        hyperplane_count=len(hyperplanes),
+        adjacency=tuple(adjacency),
+    )
 
 
 def naive_pair_coverage(graph):
@@ -66,6 +98,13 @@ class TestBuildIncidenceGraph:
         with pytest.raises(ArithmeticOverflow):
             build_incidence_graph([(2, 3)], [Hyperplane(a=(INT64_MAX,), b=1)])
 
+    @pytest.mark.parametrize("slope", [1, 3])
+    def test_envelope_guard_on_int64_min_coordinate(self, slope):
+        # |INT64_MIN| itself leaves int64; with slope 3, b + a*x wraps onto X_d.
+        point = (-(2**63), -(2**63) + 1)
+        with pytest.raises(ArithmeticOverflow):
+            build_incidence_graph([point], [Hyperplane(a=(slope,), b=1)])
+
     def test_agrees_with_parametric_route(self, d3_instance, d3_graph):
         params, points, hyperplanes = d3_instance
         _, graph = d3_graph
@@ -81,6 +120,129 @@ class TestBuildIncidenceGraph:
             IncidenceGraph(point_count=3, hyperplane_count=1, adjacency=((1, 0),))
         with pytest.raises(ValueError):
             IncidenceGraph(point_count=3, hyperplane_count=2, adjacency=((0,),))
+
+    @pytest.mark.parametrize(
+        "adjacency,valid",
+        [
+            (((0, 1), (0, 1)), True),  # entries may fall across a row boundary
+            (((2,), (), (0,), ()), True),
+            (((), (1, 0)), False),
+            (((1, 0), ()), False),
+            (((0, 0),), False),
+            (((), (0, 2, 2)), False),
+            (((-1, 0),), False),
+            (((2**70,),), False),
+        ],
+    )
+    def test_graph_validation_row_boundaries(self, adjacency, valid):
+        def make():
+            return IncidenceGraph(
+                point_count=3, hyperplane_count=len(adjacency), adjacency=adjacency
+            )
+
+        if valid:
+            assert make().adjacency == adjacency
+        else:
+            with pytest.raises(ValueError):
+                make()
+
+
+def _family(d, n, t):
+    params = normalize_params(d, n, t)
+    return generate_points(params), generate_hyperplanes(params)
+
+
+def _shuffled_with_duplicates():
+    points, hyperplanes = _family(3, 96, 4)
+    rng = random.Random(3)
+    points = points + rng.sample(points, 20) + points[:3]
+    rng.shuffle(points)
+    return points, hyperplanes
+
+
+def _random_hyperplanes(rng, d, count, slope_max, offset_max):
+    return [
+        Hyperplane(
+            a=tuple(rng.randint(1, slope_max) for _ in range(d - 1)),
+            b=rng.randint(1, offset_max),
+        )
+        for _ in range(count)
+    ]
+
+
+def _off_family():
+    points, _ = _family(3, 96, 4)
+    rng = random.Random(5)
+    hyperplanes = _random_hyperplanes(rng, 3, 60, 7, 30)
+    # Far above every point: rows with no incidences.
+    hyperplanes += [Hyperplane(a=(1, 1), b=10**6), Hyperplane(a=(3, 2), b=999)]
+    return points, hyperplanes
+
+
+def _signed_coordinates():
+    rng = random.Random(7)
+    points = [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(300)]
+    points += [(0, 0, 0), (0, 0, 1), (-1, 0, 0)]
+    return points, _random_hyperplanes(rng, 3, 80, 3, 5)
+
+
+def _one_base():
+    rng = random.Random(11)
+    points = [(2, 3, rng.randint(-20, 40)) for _ in range(50)]
+    return points, _random_hyperplanes(rng, 3, 40, 4, 20)
+
+
+def _distinct_bases():
+    rng = random.Random(13)
+    bases = rng.sample([(x, y) for x in range(-8, 9) for y in range(-8, 9)], 120)
+    points = [(x, y, rng.randint(-10, 30)) for x, y in bases]
+    return points, _random_hyperplanes(rng, 3, 90, 3, 10)
+
+
+def _family_bound_overflows():
+    # Each hyperplane's bound is 2**62 + 2**40 + 1 (fits int64), but the
+    # family-wide one, 2**63 + 1, does not.
+    big = 2**40
+    hyperplanes = [Hyperplane(a=(2**22, 1), b=1), Hyperplane(a=(1, 2**22), b=1)]
+    points = [(big, 1, 2**62 + 2), (1, big, 2**62 + 2), (1, 1, 2**22 + 2), (big, big, 0)]
+    return points, hyperplanes
+
+
+def _second_hyperplane_overflows():
+    return [(2, 3), (1, 2)], [Hyperplane(a=(1,), b=1), Hyperplane(a=(INT64_MAX,), b=1)]
+
+
+SORT_JOIN_INPUTS = {
+    "family_d2": lambda: _family(2, 256, 4),
+    "family_d3": lambda: _family(3, 96, 4),
+    "family_d3_verify_size": lambda: _family(3, 2048, 16),
+    "family_d4": lambda: _family(4, 256, 8),
+    "shuffled_with_duplicates": _shuffled_with_duplicates,
+    "off_family_and_empty_rows": _off_family,
+    "zero_and_negative_coordinates": _signed_coordinates,
+    "one_shared_base": _one_base,
+    "all_bases_distinct": _distinct_bases,
+    "family_bound_overflows_each_fits": _family_bound_overflows,
+    "second_hyperplane_overflows": _second_hyperplane_overflows,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SORT_JOIN_INPUTS))
+def test_sort_join_matches_naive_scan(case):
+    points, hyperplanes = SORT_JOIN_INPUTS[case]()
+    try:
+        expected = naive_incidence_graph(points, hyperplanes)
+    except ArithmeticOverflow as exc:
+        with pytest.raises(ArithmeticOverflow) as raised:
+            build_incidence_graph(points, hyperplanes)
+        assert str(raised.value) == str(exc)
+        assert str(hyperplanes[1]) in str(exc)
+        return
+    assert build_incidence_graph(points, hyperplanes) == expected
+    if case == "family_bound_overflows_each_fits":
+        assert expected.adjacency == ((0, 2), (1, 2))
+    else:
+        assert expected.total_incidences > 0
 
 
 class TestRichnessHistogram:
@@ -134,9 +296,23 @@ class TestPairCoverage:
         assert pair_coverage(graph) == naive_pair_coverage(graph)
 
     def test_matches_naive_on_irregular_graph(self):
-        adjacency = ((0, 1, 2, 5), (1, 2, 5), (0, 5), (2, 3, 4), (1, 2), ())
-        graph = IncidenceGraph(point_count=6, hyperplane_count=6, adjacency=adjacency)
-        assert pair_coverage(graph) == naive_pair_coverage(graph)
+        big = 2**17  # n*n = 2**34 > 2**32: 64-bit pair codes
+        cases = [
+            (6, ((0, 1, 2, 5), (1, 2, 5), (0, 5), (2, 3, 4), (1, 2), ())),
+            # Row lengths 0, 1, 2, 3 and t = 8 mixed.
+            (12, ((), (4,), (1, 9), (1, 4, 9), tuple(range(1, 9)), (), (3, 4), (7,),
+                  (1, 4, 9), (0, 1, 2, 3, 4, 5, 6, 11))),
+            # Ties among maximal pairs: (1, 9), (3, 4) and (5, 7) each twice.
+            (10, ((5, 7), (3, 4), (5, 7), (1, 9), (3, 4, 6), (1, 9), (0, 8))),
+            (10, ((8, 9), (0, 9), (8, 9), (0, 9), (1, 2), (1, 2))),
+            (big, ((0, big - 2, big - 1), (5, big - 2, big - 1), (big - 3, big - 2),
+                   (big - 3, big - 2), (7, big - 1), ())),
+        ]
+        for n, adjacency in cases:
+            graph = IncidenceGraph(
+                point_count=n, hyperplane_count=len(adjacency), adjacency=adjacency
+            )
+            assert pair_coverage(graph) == naive_pair_coverage(graph), adjacency
 
 
 class TestVerifyNoK2Beta:
