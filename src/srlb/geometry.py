@@ -96,7 +96,7 @@ class Hyperplane:
     def __post_init__(self) -> None:
         if len(self.a) < 1:
             raise ValueError("hyperplane needs at least one slope coefficient")
-        if any(c < 1 for c in self.a) or self.b < 1:
+        if min(self.a) < 1 or self.b < 1:
             raise ValueError(f"coefficients must be >= 1, got a={self.a}, b={self.b}")
 
     @property

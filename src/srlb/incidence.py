@@ -12,8 +12,8 @@ that the sort-join replaced lives in the tests.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -34,48 +34,70 @@ DEFAULT_PAIR_BUDGET = 10**9
 INCIDENCE_BLOCK = 1 << 18
 
 
-def _row_lengths(adjacency: Sequence[Sequence[int]]) -> np.ndarray:
-    return np.fromiter(map(len, adjacency), dtype=np.int64, count=len(adjacency))
-
-
-def _flatten(adjacency: Sequence[Sequence[int]], lengths: np.ndarray) -> np.ndarray:
-    """All rows concatenated into one int64 array."""
-    return np.fromiter(
-        chain.from_iterable(adjacency), dtype=np.int64, count=int(lengths.sum())
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncidenceGraph:
-    """Bipartite point/hyperplane incidences, one sorted point-index list per hyperplane."""
+    """Bipartite point/hyperplane incidences in CSR form.
+
+    Hyperplane j meets the points indices[indptr[j]:indptr[j + 1]], in
+    increasing order.  The 1-d int64 arrays are frozen in place, not copied,
+    so nothing may write to them or their bases later.  Unhashable.
+    """
 
     point_count: int
-    hyperplane_count: int
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.adjacency) != self.hyperplane_count:
-            raise ValueError(
-                f"{len(self.adjacency)} adjacency lists for"
-                f" {self.hyperplane_count} hyperplanes"
-            )
-        lengths = _row_lengths(self.adjacency)
+        indptr, indices = self.indptr, self.indices
+        if not (
+            indptr.dtype == indices.dtype == np.int64 and indptr.ndim == indices.ndim == 1
+            and indptr.size and indptr[0] == 0 and indptr[-1] == indices.size
+            and (np.diff(indptr) >= 0).all()
+        ):
+            raise ValueError("need 1-d int64 arrays, indptr rising from 0 to len(indices)")
+        if indices.size and (int(indices.min()) < 0 or int(indices.max()) >= self.point_count):
+            raise ValueError("adjacency entry out of range")
+        # An entry may fail to exceed its predecessor only where a row starts.
+        row_start = np.zeros(indices.size + 1, dtype=bool)
+        row_start[indptr] = True
+        if not (row_start[1:-1] | (np.diff(indices) > 0)).all():
+            raise ValueError("adjacency lists must be sorted and duplicate-free")
+        indptr.flags.writeable = indices.flags.writeable = False
+
+    @classmethod
+    def from_rows(
+        cls, *, point_count: int, hyperplane_count: int, adjacency: Sequence[Sequence[int]]
+    ) -> IncidenceGraph:
+        """A graph from one sorted point-index list per hyperplane."""
+        if len(adjacency) != hyperplane_count:
+            raise ValueError(f"{len(adjacency)} rows for {hyperplane_count} hyperplanes")
+        indptr = np.cumsum([0, *map(len, adjacency)], dtype=np.int64)
         try:
-            flat = _flatten(self.adjacency, lengths)
+            indices = np.fromiter(chain.from_iterable(adjacency), np.int64, int(indptr[-1]))
         except OverflowError:
             raise ValueError("adjacency entry out of range") from None
-        if flat.size and (int(flat.min()) < 0 or int(flat.max()) >= self.point_count):
-            raise ValueError("adjacency entry out of range")
-        # Each entry must exceed its predecessor, except at the first entry of a row.
-        rising = np.diff(flat) > 0
-        row_starts = np.cumsum(lengths)[:-1]
-        rising[row_starts[(row_starts > 0) & (row_starts < flat.size)] - 1] = True
-        if not rising.all():
-            raise ValueError("adjacency lists must be sorted and duplicate-free")
+        return cls(point_count=point_count, indptr=indptr, indices=indices)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IncidenceGraph):
+            return NotImplemented
+        return self.point_count == other.point_count and all(
+            map(np.array_equal, (self.indptr, self.indices), (other.indptr, other.indices))
+        )
+
+    @property
+    def hyperplane_count(self) -> int:
+        return len(self.indptr) - 1
 
     @property
     def total_incidences(self) -> int:
-        return sum(len(row) for row in self.adjacency)
+        return len(self.indices)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples, built on first use; no verify check needs them."""
+        flat, ends = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[lo:hi]) for lo, hi in zip(ends, ends[1:]))
 
 
 @dataclass(frozen=True)
@@ -136,9 +158,7 @@ def build_incidence_graph(
 
     n, m = len(points), len(hyperplanes)
     if not n or not m:
-        return IncidenceGraph(
-            point_count=n, hyperplane_count=m, adjacency=tuple(() for _ in hyperplanes)
-        )
+        return IncidenceGraph.from_rows(point_count=n, hyperplane_count=m, adjacency=[()] * m)
 
     coords = as_int64_array(points, "point coordinates")
     bases, base_id = np.unique(coords[:, :-1], axis=0, return_inverse=True)
@@ -151,34 +171,31 @@ def build_incidence_graph(
     lasts, last_rank = np.unique(coords[:, -1], return_inverse=True)
     keys = base_id.reshape(-1) * len(lasts) + last_rank  # < n**2
     order = np.argsort(keys, kind="stable")  # by (base, rank of X_d, index)
-    keys = keys[order]
+    # The points sharing one key form the run order[run_start : run_start + run_size].
+    run_keys, run_start, run_size = np.unique(
+        keys[order], return_index=True, return_counts=True
+    )
 
     rows_per_block = max(1, INCIDENCE_BLOCK // len(bases))
-    flat, row_lengths = [], []
+    indices, row_lengths = [], []
     for lo in range(0, m, rows_per_block):
         hi = min(lo + rows_per_block, m)
         values = slopes[lo:hi] @ bases.T + offsets[lo:hi, None]
         rank = np.searchsorted(lasts, values)
         np.minimum(rank, len(lasts) - 1, out=rank)
         row, base = np.nonzero(lasts[rank] == values)
-        # The points on hyperplane lo + row with that base form one run of keys.
         wanted = base * len(lasts) + rank[row, base]
-        first = np.searchsorted(keys, wanted, side="left")
-        count = np.searchsorted(keys, wanted, side="right") - first
+        run = np.minimum(np.searchsorted(run_keys, wanted), len(run_keys) - 1)
+        count = np.where(run_keys[run] == wanted, run_size[run], 0)
         row = np.repeat(row, count)
-        run_offset = first - (np.cumsum(count) - count)
+        run_offset = run_start[run] - (np.cumsum(count) - count)
         point = order[np.arange(len(row)) + np.repeat(run_offset, count)]
         # Order by (row, point index); row < INCIDENCE_BLOCK keeps row * n small.
-        flat.append(point[np.argsort(row * n + point)])
+        indices.append(np.sort(row * n + point) % n)
         row_lengths.append(np.bincount(row, minlength=hi - lo))
 
-    flat = np.concatenate(flat).tolist()
-    ends = np.cumsum(np.concatenate(row_lengths)).tolist()
-    return IncidenceGraph(
-        point_count=n,
-        hyperplane_count=m,
-        adjacency=tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends)),
-    )
+    indptr = np.concatenate(([0], *row_lengths)).cumsum()
+    return IncidenceGraph(point_count=n, indptr=indptr, indices=np.concatenate(indices))
 
 
 def richness_histogram(graph: IncidenceGraph) -> dict[int, int]:
@@ -186,7 +203,8 @@ def richness_histogram(graph: IncidenceGraph) -> dict[int, int]:
 
     A valid construction yields the single entry {t: m}.
     """
-    return dict(Counter(len(row) for row in graph.adjacency))
+    sizes, rows_of_size = np.unique(np.diff(graph.indptr), return_counts=True)
+    return dict(zip(sizes.tolist(), rows_of_size.tolist()))
 
 
 def pair_coverage(
@@ -201,7 +219,7 @@ def pair_coverage(
     lexicographically smallest witness pair attaining it (None when no
     hyperplane covers two points).
     """
-    lengths = _row_lengths(graph.adjacency)
+    lengths = np.diff(graph.indptr)
     sizes, rows_of_size = np.unique(lengths, return_counts=True)
     cost = sum(int(size) ** 2 * int(k) for size, k in zip(sizes, rows_of_size))
     if cost > budget:
@@ -214,11 +232,10 @@ def pair_coverage(
         # Pair codes i*n + j must fit in uint64, i.e. n**2 - 1 < 2**64.
         raise InstanceTooLarge(f"point count {n} exceeds the {MAX_POINTS} cap")
     code = np.uint32 if n * n <= 2**32 else np.uint64
-    flat = _flatten(graph.adjacency, lengths)
-    row_starts = np.cumsum(lengths) - lengths
+    row_starts = graph.indptr[:-1]
     codes: list[np.ndarray] = []
     for size in sizes[sizes >= 2].tolist():
-        block = flat[row_starts[lengths == size, None] + np.arange(size)].astype(code)
+        block = graph.indices[row_starts[lengths == size, None] + np.arange(size)].astype(code)
         ii, jj = np.triu_indices(size, k=1)
         # Pairs within one hyperplane are distinct, so duplicates can only
         # come from different hyperplanes sharing a pair.
@@ -226,15 +243,14 @@ def pair_coverage(
     if not codes:
         return 0, None
 
-    merged = np.concatenate(codes)
+    # A t-rich family has one row length: its codes need no concatenated copy.
+    merged = codes[0] if len(codes) == 1 else np.concatenate(codes)
     merged.sort()
-    boundaries = np.flatnonzero(np.diff(merged)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(merged)]))
-    runs = ends - starts
+    starts = np.flatnonzero(np.r_[True, merged[1:] != merged[:-1]])  # where each run begins
+    runs = np.diff(starts, append=len(merged))
     best = int(runs.max())
-    # Smallest code among maximal runs == lexicographically smallest pair.
-    witness_code = int(merged[starts[runs == best].min()])
+    # The first maximal run has the smallest code: the lexicographically smallest pair.
+    witness_code = int(merged[starts[runs == best][0]])
     return best, (witness_code // n, witness_code % n)
 
 
@@ -319,19 +335,6 @@ def find_kab(
     candidates = [j for j in range(graph.hyperplane_count) if len(graph.adjacency[j]) >= a]
     nodes_expanded = 0
 
-    def common(xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[int, ...]:
-        out, i, j = [], 0, 0
-        while i < len(xs) and j < len(ys):
-            if xs[i] == ys[j]:
-                out.append(xs[i])
-                i += 1
-                j += 1
-            elif xs[i] < ys[j]:
-                i += 1
-            else:
-                j += 1
-        return tuple(out)
-
     def dfs(
         start: int, chosen: tuple[int, ...], shared: tuple[int, ...]
     ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -345,7 +348,8 @@ def find_kab(
             return shared[:a], chosen
         for pos in range(start, len(candidates)):
             j = candidates[pos]
-            narrowed = common(shared, graph.adjacency[j]) if chosen else graph.adjacency[j]
+            row = graph.adjacency[j]
+            narrowed = tuple(sorted(set(shared).intersection(row))) if chosen else row
             if len(narrowed) >= a:
                 found = dfs(pos + 1, chosen + (j,), narrowed)
                 if found is not None:

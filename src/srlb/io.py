@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
+from .exact import as_int64_array
 from .geometry import (
     GridPoint,
     Hyperplane,
@@ -53,30 +56,15 @@ class InstanceDocument:
 
 
 def params_to_dict(params: InstanceParams) -> dict:
-    return {
-        "d": params.d,
-        "s": params.s,
-        "t": params.t,
-        "n": params.n,
-        "A": params.A,
-        "B": params.B,
-        "m": params.m,
-    }
+    return asdict(params)  # keys in field order: d, s, t, n, A, B, m
 
 
 def params_from_dict(raw: dict) -> InstanceParams:
-    missing = {"d", "s", "t", "n", "A", "B", "m"} - raw.keys()
+    names = [f.name for f in fields(InstanceParams)]
+    missing = set(names) - raw.keys()
     if missing:
         raise ValueError(f"params object missing fields: {sorted(missing)}")
-    return InstanceParams(
-        d=int(raw["d"]),
-        s=int(raw["s"]),
-        t=int(raw["t"]),
-        n=int(raw["n"]),
-        A=int(raw["A"]),
-        B=int(raw["B"]),
-        m=int(raw["m"]),
-    )
+    return InstanceParams(**{name: int(raw[name]) for name in names})
 
 
 def instance_to_dict(
@@ -92,28 +80,36 @@ def instance_to_dict(
     return doc
 
 
+def _int64_rows(rows: Sequence, width: int, what: str) -> np.ndarray:
+    """rows as an int64 (len(rows), width) array, each value coerced as int() does."""
+    table = as_int64_array(rows, what) if len(rows) else np.zeros((0, width), np.int64)
+    if table.shape != (len(rows), width):
+        raise ValueError(f"every row of {what} must hold {width} integers")
+    return table
+
+
 def instance_from_dict(doc: dict) -> InstanceDocument:
     """Parse an instance document.
 
     Stored points and hyperplanes are taken verbatim (only shape-checked):
-    a corrupted section must load so the verifiers can flag it.
+    a corrupted section must load so the verifiers can flag it.  Each
+    section is converted to int64 in one pass, so a value outside the
+    64-bit envelope raises ArithmeticOverflow here.
     """
     if "params" not in doc:
         raise ValueError("instance document has no 'params' object")
     params = params_from_dict(doc["params"])
     points = None
     if "points" in doc:
-        points = [tuple(int(c) for c in p) for p in doc["points"]]
-        if any(len(p) != params.d for p in points):
-            raise ValueError(f"every point must have d = {params.d} coordinates")
+        coords = _int64_rows(doc["points"], params.d, "point coordinates")
+        points = list(map(tuple, coords.tolist()))
     hyperplanes = None
     if "hyperplanes" in doc:
-        hyperplanes = [
-            Hyperplane(a=tuple(int(c) for c in h["a"]), b=int(h["b"]))
-            for h in doc["hyperplanes"]
-        ]
-        if any(h.d != params.d for h in hyperplanes):
-            raise ValueError(f"every hyperplane must have d-1 = {params.d - 1} slopes")
+        stored = doc["hyperplanes"]
+        slopes = _int64_rows([h["a"] for h in stored], params.d - 1, "hyperplane slopes")
+        offsets = as_int64_array([h["b"] for h in stored], "hyperplane offsets")
+        # Hyperplane(a, b) rejects coefficients below 1.
+        hyperplanes = list(map(Hyperplane, map(tuple, slopes.tolist()), offsets.tolist()))
     return InstanceDocument(params=params, points=points, hyperplanes=hyperplanes)
 
 

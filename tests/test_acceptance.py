@@ -203,7 +203,7 @@ def test_criterion_9_falsifiability(tmp_path, capsys):
     # Hand-built K_{2, beta} incidence graph fed straight to the verifier.
     params = normalize_params(2, 16, 2)
     beta = params.pair_coverage_bound() + 1
-    planted = IncidenceGraph(
+    planted = IncidenceGraph.from_rows(
         point_count=params.n,
         hyperplane_count=params.m,
         adjacency=tuple([(0, 1)] * beta + [()] * (params.m - beta)),

@@ -1,4 +1,6 @@
+import functools
 import json
+import random
 
 import pytest
 
@@ -7,9 +9,14 @@ import srlb.geometry
 import srlb.incidence
 import srlb.io
 from srlb.cli import main
-from srlb.geometry import largest_valid_richness
-from srlb.incidence import verify_instance
-from srlb.io import load_instance, read_stats_csv
+from srlb.geometry import (
+    generate_hyperplanes,
+    generate_points,
+    largest_valid_richness,
+    normalize_params,
+)
+from srlb.incidence import IncidenceGraph, verify_instance
+from srlb.io import instance_to_dict, load_instance, read_stats_csv
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +143,154 @@ class TestVerify:
         rc, stdout, _ = run_cli(capsys, "verify", str(instance_file))
         assert rc == 0
         assert verify_instance(load_instance(instance_file)) == last_json(stdout)
+
+
+@functools.cache
+def verify_fixtures():
+    """Instance documents for `srlb verify`, pristine and corrupted, by name.
+
+    Built on first use, not at import: the verify_d3-size family is large.
+    """
+    def family(d, n, t):
+        params = normalize_params(d, n, t)
+        return instance_to_dict(params, generate_points(params), generate_hyperplanes(params))
+
+    d2, d3 = family(2, 16, 2), family(3, 96, 4)
+    cases = {"d2": d2, "d3": d3, "d3_verify_size": family(3, 2048, 16)}
+
+    def variant(name, base, *edits):
+        doc = json.loads(json.dumps(base))
+        for edit in edits:
+            edit(doc)
+        cases[name] = doc
+
+    def replace(section, index, value):
+        def edit(doc):
+            doc[section][index] = value
+        return edit
+
+    def truncate(section, count):
+        def edit(doc):
+            doc[section] = doc[section][:count]
+        return edit
+
+    def shuffle_with_duplicates(doc):
+        doc["points"] += doc["points"][:5]
+        random.Random(17).shuffle(doc["points"])
+
+    def signed_points(doc):
+        doc["points"][:2] = [[0, -3], [-1, 0]]
+        doc["points"].append([2, 4])
+
+    def low_points_only(doc):
+        doc["points"] = [p for p in doc["points"] if p[0] == 1]
+
+    def repeat_hyperplanes(doc):
+        doc["hyperplanes"] += doc["hyperplanes"][:9]
+
+    steep = {"a": [2**62], "b": 1}
+    variant("d2_moved_point", d2, replace("points", 1, [1, 9]))
+    variant("d2_duplicated_hyperplane", d2, replace("hyperplanes", 1, d2["hyperplanes"][0]))
+    variant("d2_out_of_family_hyperplane", d2, replace("hyperplanes", 0, {"a": [5], "b": 4}))
+    variant("d2_bare_params", d2, lambda doc: (doc.pop("points"), doc.pop("hyperplanes")))
+    variant("d2_empty_sections", d2, truncate("points", 0), truncate("hyperplanes", 0))
+    variant("d2_no_hyperplanes", d2, truncate("hyperplanes", 0))
+    variant("d2_coerced_values", d2, replace("points", 0, [1.0, "1"]))
+    variant("d2_signed_points", d2, signed_points)
+    variant("d2_coordinate_beyond_int64", d2, replace("points", 3, [1, 2**63]))
+    variant("d2_slope_beyond_int64", d2, replace("hyperplanes", 2, {"a": [2**64], "b": 1}))
+    variant("d2_top_corner_overflows", d2, replace("hyperplanes", 5, steep))
+    # With every point at X_1 = 1 the incidence graph fits int64, but a = 2**62
+    # overflows at the top corner X_1 = s = 2 unless a hyperplane before it
+    # already left the grid.
+    variant("d2_overflow_only_at_top_corner", d2,
+            low_points_only, replace("hyperplanes", 5, steep))
+    variant("d2_outside_before_top_corner_overflow", d2, low_points_only,
+            replace("hyperplanes", 5, steep), replace("hyperplanes", 0, {"a": [5], "b": 4}))
+    variant("d3_shuffled_with_duplicates", d3, shuffle_with_duplicates)
+    variant("d3_truncated_hyperplanes", d3, truncate("hyperplanes", 40))
+    variant("d3_repeated_hyperplanes", d3, repeat_hyperplanes)
+    return cases
+
+
+# `srlb verify` exit code and stdout on each fixture, as recorded from the
+# per-row-tuple implementation that the CSR graph replaced.
+RECORDED_VERIFY = {
+    "d2": (
+        0, '{"richness_exact": true, "max_pair_coverage": 1, "beta_bound": 1,'
+           ' "k2beta_free": true, "containment_ok": true}\n'),
+    "d2_bare_params": (
+        0, '{"richness_exact": true, "max_pair_coverage": 1, "beta_bound": 1,'
+           ' "k2beta_free": true, "containment_ok": true}\n'),
+    "d2_coerced_values": (
+        0, '{"richness_exact": true, "max_pair_coverage": 1, "beta_bound": 1,'
+           ' "k2beta_free": true, "containment_ok": true}\n'),
+    "d2_coordinate_beyond_int64": (2, ""),
+    "d2_duplicated_hyperplane": (
+        2, '{"richness_exact": true, "max_pair_coverage": 2, "beta_bound": 1,'
+           ' "k2beta_free": false, "containment_ok": true}\n'),
+    "d2_empty_sections": (
+        2, '{"richness_exact": false, "max_pair_coverage": 0, "beta_bound": 1,'
+           ' "k2beta_free": true, "containment_ok": true}\n'),
+    "d2_moved_point": (
+        2, '{"richness_exact": false, "max_pair_coverage": 1, "beta_bound": 1,'
+           ' "k2beta_free": true, "containment_ok": true}\n'),
+    "d2_no_hyperplanes": (
+        2, '{"richness_exact": false, "max_pair_coverage": 0, "beta_bound": 1,'
+           ' "k2beta_free": true, "containment_ok": true}\n'),
+    "d2_out_of_family_hyperplane": (
+        2, '{"richness_exact": false, "max_pair_coverage": 1, "beta_bound": 1,'
+           ' "k2beta_free": true, "containment_ok": false}\n'),
+    "d2_outside_before_top_corner_overflow": (
+        2, '{"richness_exact": false, "max_pair_coverage": 0, "beta_bound": 1,'
+           ' "k2beta_free": true, "containment_ok": false}\n'),
+    "d2_overflow_only_at_top_corner": (2, ""),
+    "d2_signed_points": (
+        2, '{"richness_exact": false, "max_pair_coverage": 1, "beta_bound": 1,'
+           ' "k2beta_free": true, "containment_ok": true}\n'),
+    "d2_slope_beyond_int64": (2, ""),
+    "d2_top_corner_overflows": (2, ""),
+    "d3": (
+        0, '{"richness_exact": true, "max_pair_coverage": 4, "beta_bound": 4,'
+           ' "k2beta_free": true, "containment_ok": true}\n'),
+    "d3_repeated_hyperplanes": (
+        2, '{"richness_exact": false, "max_pair_coverage": 5, "beta_bound": 4,'
+           ' "k2beta_free": false, "containment_ok": true}\n'),
+    "d3_shuffled_with_duplicates": (
+        2, '{"richness_exact": false, "max_pair_coverage": 6, "beta_bound": 4,'
+           ' "k2beta_free": false, "containment_ok": true}\n'),
+    "d3_truncated_hyperplanes": (
+        2, '{"richness_exact": false, "max_pair_coverage": 4, "beta_bound": 4,'
+           ' "k2beta_free": true, "containment_ok": true}\n'),
+    "d3_verify_size": (
+        0, '{"richness_exact": true, "max_pair_coverage": 10, "beta_bound": 10,'
+           ' "k2beta_free": true, "containment_ok": true}\n'),
+}
+
+
+class TestVerifyRecorded:
+    def test_every_fixture_is_recorded(self):
+        assert sorted(verify_fixtures()) == sorted(RECORDED_VERIFY)
+
+    @pytest.mark.parametrize("name", sorted(RECORDED_VERIFY))
+    def test_stdout_is_byte_identical(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(verify_fixtures()[name]))
+        rc, stdout, _ = run_cli(capsys, "verify", str(path))
+        assert (rc, stdout) == RECORDED_VERIFY[name]
+
+    @pytest.mark.parametrize("name", ["d3", "d2_moved_point", "d3_repeated_hyperplanes"])
+    def test_verify_never_builds_tuple_rows(self, name, tmp_path, capsys, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("verify built the tuple rows of the incidence graph")
+
+        monkeypatch.setattr(IncidenceGraph, "adjacency", property(refuse))
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(verify_fixtures()[name]))
+        report = verify_instance(load_instance(path))
+        rc, stdout, _ = run_cli(capsys, "verify", str(path))
+        assert (rc, stdout) == RECORDED_VERIFY[name]
+        assert json.loads(stdout) == report
 
 
 # gen -d 2 -n 65536 -t 2 normalizes to m = 2**27 hyperplanes: n*m is about 8.8e12.

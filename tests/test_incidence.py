@@ -15,6 +15,7 @@ from srlb.exact import INT64_MAX, as_int64_array, check_int64
 from srlb.geometry import (
     Hyperplane,
     InstanceParams,
+    eval_hyperplane,
     generate_hyperplanes,
     generate_points,
     incident_points,
@@ -27,8 +28,10 @@ from srlb.incidence import (
     find_kab,
     pair_coverage,
     richness_histogram,
+    verify_instance,
     verify_no_k2beta,
 )
+from srlb.io import InstanceDocument
 
 
 def naive_incidence_graph(points, hyperplanes):
@@ -38,7 +41,7 @@ def naive_incidence_graph(points, hyperplanes):
         raise DimensionMismatch(f"mixed dimensions in input: {sorted(dims)}")
 
     if not points or not hyperplanes:
-        return IncidenceGraph(
+        return IncidenceGraph.from_rows(
             point_count=len(points),
             hyperplane_count=len(hyperplanes),
             adjacency=tuple(() for _ in hyperplanes),
@@ -54,7 +57,7 @@ def naive_incidence_graph(points, hyperplanes):
         check_int64(bound, f"incidence evaluation bound for {h}")
         values = base @ as_int64_array(h.a, "hyperplane coefficients") + h.b
         adjacency.append(tuple(int(i) for i in np.flatnonzero(values == last)))
-    return IncidenceGraph(
+    return IncidenceGraph.from_rows(
         point_count=len(points),
         hyperplane_count=len(hyperplanes),
         adjacency=tuple(adjacency),
@@ -115,11 +118,11 @@ class TestBuildIncidenceGraph:
 
     def test_graph_validation(self):
         with pytest.raises(ValueError):
-            IncidenceGraph(point_count=2, hyperplane_count=1, adjacency=((0, 2),))
+            IncidenceGraph.from_rows(point_count=2, hyperplane_count=1, adjacency=((0, 2),))
         with pytest.raises(ValueError):
-            IncidenceGraph(point_count=3, hyperplane_count=1, adjacency=((1, 0),))
+            IncidenceGraph.from_rows(point_count=3, hyperplane_count=1, adjacency=((1, 0),))
         with pytest.raises(ValueError):
-            IncidenceGraph(point_count=3, hyperplane_count=2, adjacency=((0,),))
+            IncidenceGraph.from_rows(point_count=3, hyperplane_count=2, adjacency=((0,),))
 
     @pytest.mark.parametrize(
         "adjacency,valid",
@@ -136,7 +139,7 @@ class TestBuildIncidenceGraph:
     )
     def test_graph_validation_row_boundaries(self, adjacency, valid):
         def make():
-            return IncidenceGraph(
+            return IncidenceGraph.from_rows(
                 point_count=3, hyperplane_count=len(adjacency), adjacency=adjacency
             )
 
@@ -145,6 +148,120 @@ class TestBuildIncidenceGraph:
         else:
             with pytest.raises(ValueError):
                 make()
+
+
+def _csr(indptr, indices, point_count=4):
+    return IncidenceGraph(
+        point_count=point_count,
+        indptr=np.array(indptr, dtype=np.int64),
+        indices=np.array(indices, dtype=np.int64),
+    )
+
+
+class TestCsrGraph:
+    def test_layout(self):
+        graph = _csr([0, 2, 2, 5], [0, 3, 1, 2, 3])
+        assert graph.hyperplane_count == 3
+        assert graph.total_incidences == 5
+        assert graph.adjacency == ((0, 3), (), (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "indptr,indices",
+        [
+            ([], []),  # no entry: not even the leading 0
+            ([[0, 1]], [2]),  # indptr not one-dimensional
+            ([0, 1], [[2]]),  # indices not one-dimensional
+            ([1, 2], [2, 3]),  # first entry not 0
+            ([0, 2, 1, 3], [0, 1, 2]),  # decreasing
+            ([0, 1, 3], [0, 1]),  # last entry past len(indices)
+            ([0, 1, 2], [0, 1, 2]),  # last entry short of len(indices)
+        ],
+    )
+    def test_malformed_indptr_rejected(self, indptr, indices):
+        with pytest.raises(ValueError):
+            _csr(indptr, indices)
+
+    def test_non_int64_arrays_rejected(self):
+        with pytest.raises(ValueError):
+            IncidenceGraph(
+                point_count=4,
+                indptr=np.array([0, 1], dtype=np.int32),
+                indices=np.array([2], dtype=np.int64),
+            )
+        with pytest.raises(ValueError):
+            IncidenceGraph(
+                point_count=4, indptr=np.array([0, 1]), indices=np.array([2.0])
+            )
+
+    @pytest.mark.parametrize(
+        "indptr,indices",
+        [([0, 2], [1, 1]), ([0, 2], [2, 1]), ([0, 1], [4]), ([0, 1], [-1])],
+    )
+    def test_bad_rows_rejected(self, indptr, indices):
+        with pytest.raises(ValueError):
+            _csr(indptr, indices)
+
+    @pytest.mark.parametrize(
+        "point_count,adjacency",
+        [
+            (0, ()),
+            (3, ((),)),
+            (5, ((0, 4), (), (1, 2, 3), (4,), ())),
+            (2**40, ((0, 2**40 - 1), (7,))),
+        ],
+    )
+    def test_from_rows_round_trip(self, point_count, adjacency):
+        graph = IncidenceGraph.from_rows(
+            point_count=point_count, hyperplane_count=len(adjacency), adjacency=adjacency
+        )
+        assert graph.adjacency == adjacency
+        assert graph.indptr.dtype == graph.indices.dtype == np.int64
+        again = IncidenceGraph.from_rows(
+            point_count=point_count,
+            hyperplane_count=graph.hyperplane_count,
+            adjacency=graph.adjacency,
+        )
+        assert again == graph
+        assert again != IncidenceGraph.from_rows(
+            point_count=point_count + 1,
+            hyperplane_count=graph.hyperplane_count,
+            adjacency=graph.adjacency,
+        )
+
+    def test_built_graph_round_trips(self, d3_graph):
+        _, graph = d3_graph
+        again = IncidenceGraph.from_rows(
+            point_count=graph.point_count,
+            hyperplane_count=graph.hyperplane_count,
+            adjacency=graph.adjacency,
+        )
+        assert again == graph
+        assert again.adjacency is again.adjacency  # built once, then cached
+
+    def test_equality_compares_rows(self):
+        graph = _csr([0, 2, 3], [0, 1, 3])
+        assert graph == _csr([0, 2, 3], [0, 1, 3])
+        assert graph != _csr([0, 1, 3], [0, 1, 3])
+        assert graph != _csr([0, 2, 3], [0, 1, 2])
+        assert graph != ((0, 1), (3,))
+
+    def test_arrays_are_read_only(self):
+        graph = _csr([0, 2], [0, 1])
+        with pytest.raises(ValueError):
+            graph.indices[0] = 3
+        with pytest.raises(ValueError):
+            graph.indptr[1] = 1
+
+    def test_arrays_are_frozen_in_place(self):
+        indptr = np.array([0, 2], dtype=np.int64)
+        indices = np.arange(2, dtype=np.int64)
+        graph = IncidenceGraph(point_count=3, indptr=indptr, indices=indices)
+        assert graph.indptr is indptr
+        assert not indptr.flags.writeable
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(_csr([0, 1], [0]))
 
 
 def _family(d, n, t):
@@ -258,6 +375,13 @@ class TestRichnessHistogram:
         graph = build_incidence_graph([], [])
         assert richness_histogram(graph) == {}
 
+    def test_keys_and_counts_are_python_ints(self, d3_graph):
+        _, graph = d3_graph
+        mixed = _csr([0, 2, 2, 5, 7], [0, 3, 1, 2, 3, 0, 1])
+        for histogram in (richness_histogram(graph), richness_histogram(mixed)):
+            assert all(type(k) is int and type(v) is int for k, v in histogram.items())
+        assert richness_histogram(mixed) == {0: 1, 2: 2, 3: 1}
+
 
 class TestPairCoverage:
     def test_planar_max_is_one(self, d2_graph):
@@ -275,11 +399,15 @@ class TestPairCoverage:
         assert witness is not None
 
     def test_single_hyperplane(self):
-        graph = IncidenceGraph(point_count=3, hyperplane_count=1, adjacency=((0, 1, 2),))
+        graph = IncidenceGraph.from_rows(
+            point_count=3, hyperplane_count=1, adjacency=((0, 1, 2),)
+        )
         assert pair_coverage(graph) == (1, (0, 1))
 
     def test_no_pairs(self):
-        graph = IncidenceGraph(point_count=3, hyperplane_count=2, adjacency=((0,), ()))
+        graph = IncidenceGraph.from_rows(
+            point_count=3, hyperplane_count=2, adjacency=((0,), ())
+        )
         assert pair_coverage(graph) == (0, None)
 
     def test_budget(self, d2_graph):
@@ -309,10 +437,51 @@ class TestPairCoverage:
                    (big - 3, big - 2), (7, big - 1), ())),
         ]
         for n, adjacency in cases:
-            graph = IncidenceGraph(
+            graph = IncidenceGraph.from_rows(
                 point_count=n, hyperplane_count=len(adjacency), adjacency=adjacency
             )
             assert pair_coverage(graph) == naive_pair_coverage(graph), adjacency
+
+
+def reference_containment(hyperplanes, params):
+    """Reference check: each hyperplane evaluated at the top base corner in turn."""
+    top = (params.s,) * (params.d - 1)
+    return all(1 <= eval_hyperplane(h, top) <= params.rows for h in hyperplanes)
+
+
+CONTAINMENT_CASES = {
+    "family": lambda params: generate_hyperplanes(params),
+    "none": lambda params: [],
+    "one_outside": lambda params: generate_hyperplanes(params) + [Hyperplane(a=(5,), b=4)],
+    "exactly_at_the_top_row": lambda params: [Hyperplane(a=(3,), b=2)],
+    # Each evaluation fits int64 on its own; the family-wide bound does not.
+    "family_bound_overflows_each_fits": lambda params: [
+        Hyperplane(a=(2**61,), b=1), Hyperplane(a=(1,), b=2**62)
+    ],
+    "overflow_after_contained": lambda params: [
+        Hyperplane(a=(1,), b=1), Hyperplane(a=(2**62,), b=1)
+    ],
+    # Evaluation stops at the first hyperplane outside, before the overflow.
+    "outside_before_overflow": lambda params: [
+        Hyperplane(a=(5,), b=4), Hyperplane(a=(2**62,), b=1)
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTAINMENT_CASES))
+def test_containment_matches_reference(case):
+    params = normalize_params(2, 16, 2)
+    hyperplanes = CONTAINMENT_CASES[case](params)
+    # No points: the incidence graph is empty, so only containment evaluates.
+    doc = InstanceDocument(params=params, points=[], hyperplanes=hyperplanes)
+    try:
+        expected = reference_containment(hyperplanes, params)
+    except ArithmeticOverflow as exc:
+        with pytest.raises(ArithmeticOverflow) as raised:
+            verify_instance(doc)
+        assert str(raised.value) == str(exc)
+        return
+    assert verify_instance(doc)["containment_ok"] is expected
 
 
 class TestVerifyNoK2Beta:
@@ -327,7 +496,7 @@ class TestVerifyNoK2Beta:
     def test_adversarial_fixture_fails(self, d2_graph):
         params, _ = d2_graph
         # Two points sharing A**(d-2) + 1 = 2 hyperplanes: a K_{2,2}.
-        bad = IncidenceGraph(
+        bad = IncidenceGraph.from_rows(
             point_count=16,
             hyperplane_count=8,
             adjacency=((0, 1), (0, 1)) + ((),) * 6,
@@ -359,7 +528,7 @@ class TestFindKab:
         assert find_kab(graph, 2, params.pair_coverage_bound() + 1) is None
 
     def test_finds_planted_k23(self):
-        graph = IncidenceGraph(
+        graph = IncidenceGraph.from_rows(
             point_count=4, hyperplane_count=4,
             adjacency=((0, 1), (0, 1, 3), (2,), (0, 1, 2)),
         )

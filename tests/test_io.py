@@ -1,9 +1,14 @@
+import json
+
 import pytest
 
-from srlb.geometry import normalize_params
+from srlb.cli import main
+from srlb.errors import ArithmeticOverflow
+from srlb.geometry import Hyperplane, normalize_params
 from srlb.incidence import bound_report
 from srlb.io import (
     STATS_HEADER,
+    InstanceDocument,
     StatsCsvWriter,
     bound_report_to_dict,
     format_stat,
@@ -74,6 +79,121 @@ class TestInstanceSchema:
     def test_missing_params_rejected(self):
         with pytest.raises(ValueError):
             instance_from_dict({"points": [[1, 1]]})
+
+
+def reference_instance_from_dict(doc):
+    """Reference loader: converts every stored value with int(), one at a time."""
+    if "params" not in doc:
+        raise ValueError("instance document has no 'params' object")
+    params = params_from_dict(doc["params"])
+    points = None
+    if "points" in doc:
+        points = [tuple(int(c) for c in p) for p in doc["points"]]
+        if any(len(p) != params.d for p in points):
+            raise ValueError(f"every point must have d = {params.d} coordinates")
+    hyperplanes = None
+    if "hyperplanes" in doc:
+        hyperplanes = [
+            Hyperplane(a=tuple(int(c) for c in h["a"]), b=int(h["b"]))
+            for h in doc["hyperplanes"]
+        ]
+        if any(h.d != params.d for h in hyperplanes):
+            raise ValueError(f"every hyperplane must have d-1 = {params.d - 1} slopes")
+    return InstanceDocument(params=params, points=points, hyperplanes=hyperplanes)
+
+
+D2_PARAMS = {"d": 2, "s": 2, "t": 2, "n": 16, "A": 2, "B": 4, "m": 8}
+D3_PARAMS = {"d": 3, "s": 2, "t": 4, "n": 96, "A": 4, "B": 8, "m": 128}
+
+# name -> (params, stored sections); every value here is what a JSON file can hold.
+LOADER_CASES = {
+    "empty_sections": (D2_PARAMS, {"points": [], "hyperplanes": []}),
+    "empty_points_only": (D3_PARAMS, {"points": []}),
+    "pristine_d3": (D3_PARAMS, {"points": [[1, 1, 1], [2, 1, 24]],
+                                "hyperplanes": [{"a": [1, 4], "b": 8}]}),
+    "ragged_points": (D2_PARAMS, {"points": [[1, 1], [1]]}),
+    "wide_point": (D2_PARAMS, {"points": [[1, 1], [1, 1, 1]]}),
+    "every_point_too_wide": (D2_PARAMS, {"points": [[1, 1, 1], [2, 2, 2]]}),
+    "empty_point": (D2_PARAMS, {"points": [[]]}),
+    "ragged_slopes": (D3_PARAMS, {"hyperplanes": [{"a": [1, 1], "b": 1}, {"a": [1], "b": 1}]}),
+    "wide_slopes": (D2_PARAMS, {"hyperplanes": [{"a": [1, 1], "b": 1}]}),
+    "no_slopes": (D2_PARAMS, {"hyperplanes": [{"a": [], "b": 1}]}),
+    "zero_slope": (D2_PARAMS, {"hyperplanes": [{"a": [1], "b": 1}, {"a": [0], "b": 2}]}),
+    "negative_slope": (D3_PARAMS, {"hyperplanes": [{"a": [2, -1], "b": 1}]}),
+    "zero_offset": (D2_PARAMS, {"hyperplanes": [{"a": [1], "b": 0}]}),
+    "negative_offset": (D2_PARAMS, {"hyperplanes": [{"a": [1], "b": -3}]}),
+    "floats_truncate": (D2_PARAMS, {"points": [[1.0, 2.9], [-0.5, -1.7]],
+                                    "hyperplanes": [{"a": [2.5], "b": 3.99}]}),
+    "float_truncates_below_one": (D2_PARAMS, {"hyperplanes": [{"a": [0.9], "b": 1}]}),
+    "bools": (D2_PARAMS, {"points": [[True, False]], "hyperplanes": [{"a": [True], "b": True}]}),
+    "numeric_strings": (D2_PARAMS, {"points": [["1", " 7"], ["-3", "+4"]],
+                                    "hyperplanes": [{"a": ["2"], "b": "5"}]}),
+    "mixed_types": (D3_PARAMS, {"points": [[1, "2", 3.0]],
+                                "hyperplanes": [{"a": [1, "2"], "b": 3.0}]}),
+    "non_numeric_string": (D2_PARAMS, {"points": [["1", "x"]]}),
+    "fractional_string": (D2_PARAMS, {"hyperplanes": [{"a": ["1.5"], "b": 1}]}),
+    "nan_coordinate": (D2_PARAMS, {"points": [[1, float("nan")]]}),
+    "missing_b": (D2_PARAMS, {"hyperplanes": [{"a": [1], "b": 1}, {"a": [2]}]}),
+    "missing_a": (D2_PARAMS, {"hyperplanes": [{"b": 1}]}),
+    "int64_extremes": (D2_PARAMS, {"points": [[-(2**63), 2**63 - 1]],
+                                   "hyperplanes": [{"a": [2**63 - 1], "b": 2**63 - 1}]}),
+}
+
+
+def _outcome(load, doc):
+    """The loaded document, or the type of the exception the loader raised."""
+    try:
+        return load(doc)
+    except Exception as exc:  # the exception type is the outcome under test
+        return type(exc)
+
+
+class TestBulkLoader:
+    @pytest.mark.parametrize("case", sorted(LOADER_CASES))
+    def test_matches_per_value_reference(self, case):
+        params, sections = LOADER_CASES[case]
+        doc = {"params": params, **sections}
+        expected = _outcome(reference_instance_from_dict, doc)
+        assert _outcome(instance_from_dict, doc) == expected
+        if isinstance(expected, InstanceDocument):
+            loaded = instance_from_dict(doc)
+            values = [c for p in loaded.points or [] for c in p]
+            values += [c for h in loaded.hyperplanes or [] for c in (*h.a, h.b)]
+            assert all(type(c) is int for c in values)  # equality misses numpy scalars
+
+    @pytest.mark.parametrize(
+        "sections",
+        [{"points": [1, 2]}, {"points": [[[1], [2]]]}, {"hyperplanes": [{"a": 1, "b": 1}]}],
+    )
+    def test_rows_that_are_not_flat_lists_are_value_errors(self, sections):
+        # The per-value reference raises TypeError here, which the CLI does not catch.
+        with pytest.raises(TypeError):
+            reference_instance_from_dict({"params": D2_PARAMS, **sections})
+        with pytest.raises(ValueError):
+            instance_from_dict({"params": D2_PARAMS, **sections})
+
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            {"points": [[1, 2**63]]},
+            {"points": [[-(2**63) - 1, 1]]},
+            {"points": [[1, float("inf")]]},
+            {"points": [[1, 1e19]]},
+            {"points": [[1, str(2**64)]]},
+            {"hyperplanes": [{"a": [2**63], "b": 1}]},
+            {"hyperplanes": [{"a": [1], "b": 2**70}]},
+        ],
+    )
+    def test_value_outside_int64_is_arithmetic_overflow(self, sections, tmp_path, capsys):
+        doc = {"params": D2_PARAMS, **sections}
+        with pytest.raises(ArithmeticOverflow):
+            instance_from_dict(doc)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "64-bit" in captured.err
 
 
 class TestBoundReportSchema:
