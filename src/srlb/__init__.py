@@ -9,7 +9,6 @@ predicted space/query trade-off exponent (d-1)/d.
 
 from .errors import (
     ArithmeticOverflow,
-    BudgetExceeded,
     DimensionMismatch,
     EmptyInput,
     InstanceTooLarge,
@@ -35,7 +34,6 @@ from .incidence import (
     IncidenceGraph,
     bound_report,
     build_incidence_graph,
-    find_kab,
     pair_coverage,
     richness_histogram,
     verify_instance,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArithmeticOverflow",
     "BoundReport",
-    "BudgetExceeded",
     "DimensionMismatch",
     "EmptyInput",
     "ExperimentPlan",
@@ -84,7 +81,6 @@ __all__ = [
     "build_kdtree",
     "classify_box",
     "eval_hyperplane",
-    "find_kab",
     "fit_loglog",
     "generate_hyperplanes",
     "generate_points",

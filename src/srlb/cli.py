@@ -15,11 +15,7 @@ from typing import Optional, Sequence
 
 from . import bench as bench_mod
 from . import incidence, io, reporting
-from .errors import (
-    BudgetExceeded,
-    InstanceTooLarge,
-    SrlbError,
-)
+from .errors import InstanceTooLarge, SrlbError
 from .geometry import (
     InstanceParams,
     generate_hyperplanes,
@@ -174,7 +170,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceTooLarge, BudgetExceeded) as exc:
+    except InstanceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (SrlbError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -25,10 +25,6 @@ class InstanceTooLarge(SrlbError):
     """Work estimate for an exhaustive check exceeds the configured budget."""
 
 
-class BudgetExceeded(SrlbError):
-    """A bounded search ran out of its node budget."""
-
-
 class EmptyInput(SrlbError):
     """An operation that needs at least one element received none."""
 

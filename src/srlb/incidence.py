@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, InstanceTooLarge
+from .errors import ArithmeticOverflow, DimensionMismatch, InstanceTooLarge
 from .exact import INT64_MAX, MAX_POINTS, as_int64_array, check_int64
 from .geometry import GridPoint, Hyperplane, InstanceParams, eval_hyperplane
 
@@ -112,28 +113,50 @@ class BoundReport:
     predicted_query_exponent: Fraction
 
 
+def _int64_matrix(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarray:
+    """Rows that all have `width` entries, as one (len(rows), width) int64 array."""
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width)
+    except OverflowError as exc:
+        raise ArithmeticOverflow(f"{what} exceeds the 64-bit safe envelope") from exc
+    return flat.reshape(len(rows), width)
+
+
+def _envelope(table: np.ndarray) -> list[int]:
+    """Largest |entry| per column, in Python ints: np.abs(INT64_MIN) would wrap."""
+    lows, highs = table.min(axis=0).tolist(), table.max(axis=0).tolist()
+    return [max(-lo, hi) for lo, hi in zip(lows, highs)]
+
+
 def _checked_coefficients(
-    hyperplanes: Sequence[Hyperplane], max_abs: Sequence[int]
+    hyperplanes: Sequence[Hyperplane],
+    slope_rows: Sequence[tuple[int, ...]],
+    max_abs: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slopes and offsets as int64 arrays, once no evaluation can wrap.
 
     |b + sum(a_i * x_i)| and every partial sum stay below
     sum(|a_i| * max|x_i|) + |b|.  One such bound taken over the whole
-    family (largest |a_i| per axis, largest |b|) covers every hyperplane;
-    only when it leaves int64 is each hyperplane checked on its own, so a
-    family that fits hyperplane by hyperplane is still accepted and the
-    error names the first one that does not.
+    family (largest |a_i| per axis, largest |b|, read off the converted
+    arrays) covers every hyperplane.  Only when the conversion or that
+    bound fails is each hyperplane checked on its own, so a family that
+    fits hyperplane by hyperplane is still accepted and the error names
+    the first one that does not.
     """
-    slope_max = [max(map(abs, axis)) for axis in zip(*(h.a for h in hyperplanes))]
-    family_bound = sum(c * mx for c, mx in zip(slope_max, max_abs)) + max(
-        abs(h.b) for h in hyperplanes
-    )
-    if family_bound > INT64_MAX:
-        for h in hyperplanes:
-            bound = sum(abs(c) * mx for c, mx in zip(h.a, max_abs)) + abs(h.b)
-            check_int64(bound, f"incidence evaluation bound for {h}")
-            as_int64_array(h.a, "hyperplane coefficients")
-    slopes = as_int64_array([h.a for h in hyperplanes], "hyperplane coefficients")
+    try:
+        slopes = _int64_matrix(slope_rows, len(max_abs), "hyperplane coefficients")
+        offsets = np.fromiter(map(attrgetter("b"), hyperplanes), np.int64, len(hyperplanes))
+    except (ArithmeticOverflow, OverflowError):
+        pass
+    else:
+        family_bound = sum(c * mx for c, mx in zip(_envelope(slopes), max_abs))
+        if family_bound + _envelope(offsets[:, None])[0] <= INT64_MAX:
+            return slopes, offsets
+    for h in hyperplanes:
+        bound = sum(abs(c) * mx for c, mx in zip(h.a, max_abs)) + abs(h.b)
+        check_int64(bound, f"incidence evaluation bound for {h}")
+        as_int64_array(h.a, "hyperplane coefficients")
+    slopes = as_int64_array(slope_rows, "hyperplane coefficients")
     offsets = as_int64_array([h.b for h in hyperplanes], "hyperplane offsets")
     return slopes, offsets
 
@@ -144,15 +167,18 @@ def build_incidence_graph(
     """Incidence graph as an exact sort-join of hyperplane values and points.
 
     Deliberately ignores the parametric structure so it can cross-check
-    incident_points().  The points are grouped by their base X_1..X_{d-1};
-    each hyperplane is evaluated once per distinct base (the predicate
-    X_d == b + sum(a_i * X_i)), and each value is matched by binary search
-    against the points with that base, sorted by X_d.  With u distinct
-    bases this costs O(m*u*log n + incidences) instead of testing all n*m
-    pairs; in the grid family u = t.  The pair-by-pair scan it replaced is
-    kept in the tests as the reference.
+    incident_points().  One stable lexsort orders the points by (base
+    X_1..X_{d-1}, X_d, index); the places where the base changes group
+    them into u distinct bases.  Each hyperplane is evaluated once per
+    base (the predicate X_d == b + sum(a_i * X_i)), base-major, as
+    bases @ slopes.T + offsets, so the matched values come out grouped by
+    base, and each is matched by binary search against the points with
+    that base.  This costs O(m*u*log n + incidences) instead of testing
+    all n*m pairs; in the grid family u = t.  The pair-by-pair scan it
+    replaced is kept in the tests as the reference.
     """
-    dims = {len(p) for p in points} | {h.d for h in hyperplanes}
+    slope_rows = [h.a for h in hyperplanes]
+    dims = set(map(len, points)) | {len(a) + 1 for a in slope_rows}
     if len(dims) > 1:
         raise DimensionMismatch(f"mixed dimensions in input: {sorted(dims)}")
 
@@ -160,38 +186,39 @@ def build_incidence_graph(
     if not n or not m:
         return IncidenceGraph.from_rows(point_count=n, hyperplane_count=m, adjacency=[()] * m)
 
-    coords = as_int64_array(points, "point coordinates")
-    bases, base_id = np.unique(coords[:, :-1], axis=0, return_inverse=True)
-    # In Python ints: np.abs(INT64_MIN) would wrap to a negative maximum.
-    lows, highs = bases.min(axis=0).tolist(), bases.max(axis=0).tolist()
-    max_abs = [max(-lo, hi) for lo, hi in zip(lows, highs)]
-    slopes, offsets = _checked_coefficients(hyperplanes, max_abs)
+    coords = _int64_matrix(points, dims.pop(), "point coordinates")
     # X_d is only compared for equality, so the join key is (base id, rank
     # of X_d among its distinct values): no arithmetic touches a raw X_d.
     lasts, last_rank = np.unique(coords[:, -1], return_inverse=True)
-    keys = base_id.reshape(-1) * len(lasts) + last_rank  # < n**2
-    order = np.argsort(keys, kind="stable")  # by (base, rank of X_d, index)
+    order = np.lexsort(coords.T[::-1])  # by (X_1, ..., X_{d-1}, X_d, index)
+    ordered = coords[order, :-1]
+    new_base = np.ones(n, dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new_base[1:])
+    bases = ordered[new_base]
+    keys = (np.cumsum(new_base) - 1) * len(lasts) + last_rank[order]  # rising, < n**2
     # The points sharing one key form the run order[run_start : run_start + run_size].
-    run_keys, run_start, run_size = np.unique(
-        keys[order], return_index=True, return_counts=True
-    )
+    run_keys, run_start, run_size = np.unique(keys, return_index=True, return_counts=True)
+    slopes, offsets = _checked_coefficients(hyperplanes, slope_rows, _envelope(bases))
 
     rows_per_block = max(1, INCIDENCE_BLOCK // len(bases))
+    base_keys = np.arange(0, len(bases) * len(lasts), len(lasts))[:, None]
     indices, row_lengths = [], []
     for lo in range(0, m, rows_per_block):
         hi = min(lo + rows_per_block, m)
-        values = slopes[lo:hi] @ bases.T + offsets[lo:hi, None]
-        rank = np.searchsorted(lasts, values)
-        np.minimum(rank, len(lasts) - 1, out=rank)
-        row, base = np.nonzero(lasts[rank] == values)
-        wanted = base * len(lasts) + rank[row, base]
-        run = np.minimum(np.searchsorted(run_keys, wanted), len(run_keys) - 1)
-        count = np.where(run_keys[run] == wanted, run_size[run], 0)
-        row = np.repeat(row, count)
-        run_offset = run_start[run] - (np.cumsum(count) - count)
+        # Base-major: row u of `values` holds every hyperplane at base u, so
+        # the join keys rise from one base to the next.
+        values = bases @ slopes[lo:hi].T + offsets[lo:hi]
+        rank = np.minimum(np.searchsorted(lasts, values), len(lasts) - 1)
+        key = base_keys + rank
+        run = np.minimum(np.searchsorted(run_keys, key), len(run_keys) - 1)
+        hit = (lasts[rank] == values) & (run_keys[run] == key)
+        count = np.where(hit, run_size[run], 0).ravel()
+        row = np.repeat(np.tile(np.arange(hi - lo), len(bases)), count)
+        run_offset = run_start[run].ravel() - (np.cumsum(count) - count)
         point = order[np.arange(len(row)) + np.repeat(run_offset, count)]
-        # Order by (row, point index); row < INCIDENCE_BLOCK keeps row * n small.
-        indices.append(np.sort(row * n + point) % n)
+        # (row, point index) rises within each base, so a stable sort merges
+        # len(bases) sorted runs.  row < INCIDENCE_BLOCK keeps row * n small.
+        indices.append(np.sort(row * n + point, kind="stable") % n)
         row_lengths.append(np.bincount(row, minlength=hi - lo))
 
     indptr = np.concatenate(([0], *row_lengths)).cumsum()
@@ -233,25 +260,31 @@ def pair_coverage(
         raise InstanceTooLarge(f"point count {n} exceeds the {MAX_POINTS} cap")
     code = np.uint32 if n * n <= 2**32 else np.uint64
     row_starts = graph.indptr[:-1]
-    codes: list[np.ndarray] = []
-    for size in sizes[sizes >= 2].tolist():
-        block = graph.indices[row_starts[lengths == size, None] + np.arange(size)].astype(code)
-        ii, jj = np.triu_indices(size, k=1)
-        # Pairs within one hyperplane are distinct, so duplicates can only
-        # come from different hyperplanes sharing a pair.
-        codes.append((block[:, ii] * code(n) + block[:, jj]).ravel())
-    if not codes:
+    wide = sizes >= 2
+    blocks = list(zip(sizes[wide].tolist(), rows_of_size[wide].tolist()))
+    merged = np.empty(sum(k * size * (size - 1) // 2 for size, k in blocks), code)
+    if not merged.size:
         return 0, None
+    end = 0
+    for size, k in blocks:
+        # block[i] holds the i-th point of every row of this length.
+        at = row_starts[lengths == size] + np.arange(size)[:, None]
+        block = graph.indices[at].astype(code)
+        scaled = block * code(n)
+        for i in range(size - 1):
+            # Pairs (i, j > i) of every row.  Pairs within one hyperplane are
+            # distinct, so duplicates only come from hyperplanes sharing a pair.
+            start, end = end, end + (size - 1 - i) * k
+            np.add(scaled[i], block[i + 1 :], out=merged[start:end].reshape(-1, k))
 
-    # A t-rich family has one row length: its codes need no concatenated copy.
-    merged = codes[0] if len(codes) == 1 else np.concatenate(codes)
     merged.sort()
-    starts = np.flatnonzero(np.r_[True, merged[1:] != merged[:-1]])  # where each run begins
-    runs = np.diff(starts, append=len(merged))
-    best = int(runs.max())
-    # The first maximal run has the smallest code: the lexicographically smallest pair.
-    witness_code = int(merged[starts[runs == best][0]])
-    return best, (witness_code // n, witness_code % n)
+    last = np.flatnonzero(merged[1:] != merged[:-1])  # where each run but the final one ends
+    runs = np.diff(last, prepend=-1, append=len(merged) - 1)
+    # argmax picks the first maximal run, which has the smallest code: the
+    # lexicographically smallest pair.
+    first = int(runs.argmax())
+    witness_code = int(merged[last[first - 1] + 1 if first else 0])
+    return int(runs[first]), (witness_code // n, witness_code % n)
 
 
 def verify_no_k2beta(
@@ -319,44 +352,6 @@ def verify_instance(doc: InstanceDocument, budget: int = DEFAULT_PAIR_BUDGET) ->
             1 <= eval_hyperplane(h, top) <= params.rows for h in hyperplanes
         ),
     }
-
-
-def find_kab(
-    graph: IncidenceGraph, a: int, b: int, budget: int = 10**6
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Exhaustive search for a complete bipartite K_{a,b} in the graph.
-
-    Returns (a point indices, b hyperplane indices) or None.  Only meant
-    for tiny instances and fixtures; the DFS over hyperplane subsets aborts
-    with BudgetExceeded once it has expanded `budget` nodes.
-    """
-    if a < 1 or b < 1:
-        raise ValueError(f"need a, b >= 1, got a={a}, b={b}")
-    candidates = [j for j in range(graph.hyperplane_count) if len(graph.adjacency[j]) >= a]
-    nodes_expanded = 0
-
-    def dfs(
-        start: int, chosen: tuple[int, ...], shared: tuple[int, ...]
-    ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        nonlocal nodes_expanded
-        nodes_expanded += 1
-        if nodes_expanded > budget:
-            raise BudgetExceeded(
-                f"K_{{{a},{b}}} search expanded more than {budget} nodes"
-            )
-        if len(chosen) == b:
-            return shared[:a], chosen
-        for pos in range(start, len(candidates)):
-            j = candidates[pos]
-            row = graph.adjacency[j]
-            narrowed = tuple(sorted(set(shared).intersection(row))) if chosen else row
-            if len(narrowed) >= a:
-                found = dfs(pos + 1, chosen + (j,), narrowed)
-                if found is not None:
-                    return found
-        return None
-
-    return dfs(0, (), ())
 
 
 def bound_report(params: InstanceParams) -> BoundReport:

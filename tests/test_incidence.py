@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import srlb.incidence
 from srlb.errors import (
     ArithmeticOverflow,
-    BudgetExceeded,
     DimensionMismatch,
     InstanceTooLarge,
 )
@@ -25,7 +25,6 @@ from srlb.incidence import (
     IncidenceGraph,
     bound_report,
     build_incidence_graph,
-    find_kab,
     pair_coverage,
     richness_histogram,
     verify_instance,
@@ -329,6 +328,24 @@ def _second_hyperplane_overflows():
     return [(2, 3), (1, 2)], [Hyperplane(a=(1,), b=1), Hyperplane(a=(INT64_MAX,), b=1)]
 
 
+def _coefficient_leaves_int64():
+    # 2**63 cannot even be converted to int64, so the per-hyperplane scan names it.
+    return [(2, 3), (1, 2)], [Hyperplane(a=(1,), b=1), Hyperplane(a=(2**63,), b=1)]
+
+
+def _bases_tie_on_leading_coordinates():
+    # d = 4, shuffled, with repeats: the bases share X_1, mostly X_2 too,
+    # and differ in X_3, so grouping them must compare every base column.
+    rng = random.Random(17)
+    points = [
+        (1, y, z, rng.randint(1, 30)) for y in (1, 2) for z in range(1, 8) for _ in range(5)
+    ]
+    points += [(2, 1, z, rng.randint(1, 30)) for z in (7, 1, 4) for _ in range(3)]
+    points += points[:4]
+    rng.shuffle(points)
+    return points, _random_hyperplanes(rng, 4, 70, 3, 6)
+
+
 SORT_JOIN_INPUTS = {
     "family_d2": lambda: _family(2, 256, 4),
     "family_d3": lambda: _family(3, 96, 4),
@@ -341,11 +358,26 @@ SORT_JOIN_INPUTS = {
     "all_bases_distinct": _distinct_bases,
     "family_bound_overflows_each_fits": _family_bound_overflows,
     "second_hyperplane_overflows": _second_hyperplane_overflows,
+    "coefficient_leaves_int64": _coefficient_leaves_int64,
+    "shuffled_d4_bases_tie_on_leading_coordinates": _bases_tie_on_leading_coordinates,
 }
 
 
 @pytest.mark.parametrize("case", sorted(SORT_JOIN_INPUTS))
 def test_sort_join_matches_naive_scan(case):
+    _check_sort_join(case)
+
+
+@pytest.mark.parametrize("case", sorted(SORT_JOIN_INPUTS))
+def test_sort_join_in_small_blocks_matches_naive_scan(case, monkeypatch):
+    # Every input fits one block of the default size.  With 64 values per
+    # block the later blocks run, and inputs with more than 64 bases fall
+    # back to one hyperplane per block.
+    monkeypatch.setattr(srlb.incidence, "INCIDENCE_BLOCK", 64)
+    _check_sort_join(case)
+
+
+def _check_sort_join(case):
     points, hyperplanes = SORT_JOIN_INPUTS[case]()
     try:
         expected = naive_incidence_graph(points, hyperplanes)
@@ -507,43 +539,6 @@ class TestVerifyNoK2Beta:
         params, graph = d2_graph
         with pytest.raises(InstanceTooLarge):
             verify_no_k2beta(graph, params, budget=1)
-
-
-class TestFindKab:
-    def test_k11_exists(self, d2_graph):
-        _, graph = d2_graph
-        witness = find_kab(graph, 1, 1)
-        assert witness is not None
-        points, planes = witness
-        assert len(points) == 1 and len(planes) == 1
-        assert points[0] in graph.adjacency[planes[0]]
-
-    def test_k22_absent_planar(self, d2_graph):
-        _, graph = d2_graph
-        assert find_kab(graph, 2, 2) is None
-
-    @pytest.mark.parametrize("fixture", ["d2_graph", "d3_graph"])
-    def test_no_k2_beta_witness(self, fixture, request):
-        params, graph = request.getfixturevalue(fixture)
-        assert find_kab(graph, 2, params.pair_coverage_bound() + 1) is None
-
-    def test_finds_planted_k23(self):
-        graph = IncidenceGraph.from_rows(
-            point_count=4, hyperplane_count=4,
-            adjacency=((0, 1), (0, 1, 3), (2,), (0, 1, 2)),
-        )
-        witness = find_kab(graph, 2, 3)
-        assert witness == ((0, 1), (0, 1, 3))
-
-    def test_budget_exceeded(self, d3_graph):
-        _, graph = d3_graph
-        with pytest.raises(BudgetExceeded):
-            find_kab(graph, 2, 3, budget=2)
-
-    def test_bad_args(self, d2_graph):
-        _, graph = d2_graph
-        with pytest.raises(ValueError):
-            find_kab(graph, 0, 1)
 
 
 class TestBoundReport:
