@@ -1,14 +1,18 @@
-"""Checked integer arithmetic helpers.
+"""The int64 contract: checked scalars, row conversion, column envelope.
 
 Python integers never wrap, but every number this package emits (JSON
 instances, CSV stats) must stay representable as a signed 64-bit value so
 downstream consumers can rely on exact arithmetic too.  These helpers make
-that envelope an explicit, testable contract.
+that envelope an explicit, testable contract, and they are the only code
+that turns rows into int64 tables or bounds a table's columns.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ArithmeticOverflow
 
@@ -61,21 +65,38 @@ def iroot(value: int, k: int) -> int:
     return r
 
 
-def product_fits_int64(factors: Iterable[int]) -> bool:
-    """True iff the exact product of factors lies inside the int64 envelope."""
-    p = 1
-    for f in factors:
-        p *= f
-        if p > INT64_MAX or p < INT64_MIN:
-            return False
-    return True
-
-
-def as_int64_array(values, what: str):
+def as_int64_array(values, what: str) -> np.ndarray:
     """np.asarray(..., dtype=int64) with overflow surfaced as ArithmeticOverflow."""
-    import numpy as np
-
     try:
         return np.asarray(values, dtype=np.int64)
     except OverflowError as exc:
         raise ArithmeticOverflow(f"{what} exceeds the 64-bit safe envelope") from exc
+
+
+def int64_rows(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarray:
+    """rows as a (len(rows), width) int64 array, each value coerced as int() does.
+
+    Every row must be a list or tuple of exactly `width` values; a length
+    check alone would pass the str "12" or a dict, whose keys it yields.
+    """
+    if not (
+        isinstance(rows, (list, tuple))
+        and all(issubclass(kind, (list, tuple)) for kind in set(map(type, rows)))
+        and set(map(len, rows)) <= {width}
+    ):
+        raise ValueError(f"{what} must be a list of rows of {width} values")
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width)
+    except OverflowError as exc:
+        raise ArithmeticOverflow(f"{what} exceeds the 64-bit safe envelope") from exc
+    except TypeError as exc:  # a nested or otherwise non-numeric value
+        raise ValueError(f"every value of {what} must be an integer") from exc
+    return flat.reshape(len(rows), width)
+
+
+def envelope(table: np.ndarray) -> list[int]:
+    """Largest |entry| per column of a non-empty int64 table, as Python ints.
+
+    np.abs wraps INT64_MIN onto itself, whose bits read 2**63 as uint64.
+    """
+    return np.abs(table).view(np.uint64).max(axis=0).tolist()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ArithmeticOverflow, DimensionMismatch, PointEscapesGrid, RangeTooTight
-from .exact import MAX_POINTS, check_int64, checked_dot, iroot, product_fits_int64
+from .exact import MAX_POINTS, check_int64, checked_dot, iroot
 
 # A grid point is a plain tuple of d integers; coordinate i < d-1 ranges over
 # {1..s} and the last coordinate over {1..n/t}.
@@ -142,11 +142,7 @@ def normalize_params(d: int, n_requested: int, t_requested: int) -> InstancePara
         )
     if B < 1:
         raise RangeTooTight(f"B = floor(n / (d*t)) = floor({n}/{d * t}) = 0")
-    if not product_fits_int64([A] * (d - 1) + [B]):
-        raise ArithmeticOverflow(
-            f"family size A**(d-1)*B with A={A}, B={B} exceeds the 64-bit envelope"
-        )
-    m = A ** (d - 1) * B
+    m = check_int64(A ** (d - 1) * B, f"family size A**(d-1)*B with A={A}, B={B}")
     return InstanceParams(d=d, s=s, t=t, n=n, A=A, B=B, m=m)
 
 

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .errors import ArithmeticOverflow, DimensionMismatch, InstanceTooLarge
-from .exact import INT64_MAX, MAX_POINTS, as_int64_array, check_int64
+from .exact import INT64_MAX, MAX_POINTS, as_int64_array, check_int64, envelope, int64_rows
 from .geometry import GridPoint, Hyperplane, InstanceParams, eval_hyperplane
 
 if TYPE_CHECKING:
@@ -113,21 +112,6 @@ class BoundReport:
     predicted_query_exponent: Fraction
 
 
-def _int64_matrix(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarray:
-    """Rows that all have `width` entries, as one (len(rows), width) int64 array."""
-    try:
-        flat = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width)
-    except OverflowError as exc:
-        raise ArithmeticOverflow(f"{what} exceeds the 64-bit safe envelope") from exc
-    return flat.reshape(len(rows), width)
-
-
-def _envelope(table: np.ndarray) -> list[int]:
-    """Largest |entry| per column, in Python ints: np.abs(INT64_MIN) would wrap."""
-    lows, highs = table.min(axis=0).tolist(), table.max(axis=0).tolist()
-    return [max(-lo, hi) for lo, hi in zip(lows, highs)]
-
-
 def _checked_coefficients(
     hyperplanes: Sequence[Hyperplane],
     slope_rows: Sequence[tuple[int, ...]],
@@ -143,21 +127,21 @@ def _checked_coefficients(
     fits hyperplane by hyperplane is still accepted and the error names
     the first one that does not.
     """
+    offset_row = [h.b for h in hyperplanes]
     try:
-        slopes = _int64_matrix(slope_rows, len(max_abs), "hyperplane coefficients")
-        offsets = np.fromiter(map(attrgetter("b"), hyperplanes), np.int64, len(hyperplanes))
-    except (ArithmeticOverflow, OverflowError):
+        slopes = int64_rows(slope_rows, len(max_abs), "hyperplane coefficients")
+        offsets = int64_rows([offset_row], len(offset_row), "hyperplane offsets")[0]
+    except ArithmeticOverflow:
         pass
     else:
-        family_bound = sum(c * mx for c, mx in zip(_envelope(slopes), max_abs))
-        if family_bound + _envelope(offsets[:, None])[0] <= INT64_MAX:
+        family_bound = sum(c * mx for c, mx in zip(envelope(slopes), max_abs))
+        if family_bound + envelope(offsets[:, None])[0] <= INT64_MAX:
             return slopes, offsets
+    # Raises whenever the conversion failed: some |a_i| or |b| left int64.
     for h in hyperplanes:
         bound = sum(abs(c) * mx for c, mx in zip(h.a, max_abs)) + abs(h.b)
         check_int64(bound, f"incidence evaluation bound for {h}")
         as_int64_array(h.a, "hyperplane coefficients")
-    slopes = as_int64_array(slope_rows, "hyperplane coefficients")
-    offsets = as_int64_array([h.b for h in hyperplanes], "hyperplane offsets")
     return slopes, offsets
 
 
@@ -186,7 +170,7 @@ def build_incidence_graph(
     if not n or not m:
         return IncidenceGraph.from_rows(point_count=n, hyperplane_count=m, adjacency=[()] * m)
 
-    coords = _int64_matrix(points, dims.pop(), "point coordinates")
+    coords = int64_rows(points, dims.pop(), "point coordinates")
     # X_d is only compared for equality, so the join key is (base id, rank
     # of X_d among its distinct values): no arithmetic touches a raw X_d.
     lasts, last_rank = np.unique(coords[:, -1], return_inverse=True)
@@ -198,7 +182,7 @@ def build_incidence_graph(
     keys = (np.cumsum(new_base) - 1) * len(lasts) + last_rank[order]  # rising, < n**2
     # The points sharing one key form the run order[run_start : run_start + run_size].
     run_keys, run_start, run_size = np.unique(keys, return_index=True, return_counts=True)
-    slopes, offsets = _checked_coefficients(hyperplanes, slope_rows, _envelope(bases))
+    slopes, offsets = _checked_coefficients(hyperplanes, slope_rows, envelope(bases))
 
     rows_per_block = max(1, INCIDENCE_BLOCK // len(bases))
     base_keys = np.arange(0, len(bases) * len(lasts), len(lasts))[:, None]

@@ -20,9 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from .exact import as_int64_array
+from .exact import int64_rows
 from .geometry import (
     GridPoint,
     Hyperplane,
@@ -61,10 +59,12 @@ def params_to_dict(params: InstanceParams) -> dict:
 
 def params_from_dict(raw: dict) -> InstanceParams:
     names = [f.name for f in fields(InstanceParams)]
-    missing = set(names) - raw.keys()
-    if missing:
-        raise ValueError(f"params object missing fields: {sorted(missing)}")
-    return InstanceParams(**{name: int(raw[name]) for name in names})
+    if not isinstance(raw, dict) or not raw.keys() >= set(names):
+        raise ValueError(f"params must be an object with the fields {names}")
+    try:
+        return InstanceParams(**{name: int(raw[name]) for name in names})
+    except TypeError:
+        raise ValueError(f"params fields {names} must be integers") from None
 
 
 def instance_to_dict(
@@ -80,34 +80,30 @@ def instance_to_dict(
     return doc
 
 
-def _int64_rows(rows: Sequence, width: int, what: str) -> np.ndarray:
-    """rows as an int64 (len(rows), width) array, each value coerced as int() does."""
-    table = as_int64_array(rows, what) if len(rows) else np.zeros((0, width), np.int64)
-    if table.shape != (len(rows), width):
-        raise ValueError(f"every row of {what} must hold {width} integers")
-    return table
-
-
 def instance_from_dict(doc: dict) -> InstanceDocument:
     """Parse an instance document.
 
     Stored points and hyperplanes are taken verbatim (only shape-checked):
     a corrupted section must load so the verifiers can flag it.  Each
     section is converted to int64 in one pass, so a value outside the
-    64-bit envelope raises ArithmeticOverflow here.
+    64-bit envelope raises ArithmeticOverflow here, and a section of the
+    wrong shape raises ValueError.
     """
-    if "params" not in doc:
+    if not isinstance(doc, dict) or "params" not in doc:
         raise ValueError("instance document has no 'params' object")
     params = params_from_dict(doc["params"])
     points = None
     if "points" in doc:
-        coords = _int64_rows(doc["points"], params.d, "point coordinates")
+        coords = int64_rows(doc["points"], params.d, "point coordinates")
         points = list(map(tuple, coords.tolist()))
     hyperplanes = None
     if "hyperplanes" in doc:
         stored = doc["hyperplanes"]
-        slopes = _int64_rows([h["a"] for h in stored], params.d - 1, "hyperplane slopes")
-        offsets = as_int64_array([h["b"] for h in stored], "hyperplane offsets")
+        if not isinstance(stored, list) or not all(isinstance(h, dict) for h in stored):
+            raise ValueError("hyperplanes must be a list of {'a': [...], 'b': ...} objects")
+        slopes = int64_rows([h["a"] for h in stored], params.d - 1, "hyperplane slopes")
+        # All offsets as one row, so a non-scalar b is a ValueError too.
+        offsets = int64_rows([[h["b"] for h in stored]], len(stored), "hyperplane offsets")[0]
         # Hyperplane(a, b) rejects coefficients below 1.
         hyperplanes = list(map(Hyperplane, map(tuple, slopes.tolist()), offsets.tolist()))
     return InstanceDocument(params=params, points=points, hyperplanes=hyperplanes)

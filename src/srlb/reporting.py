@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput
-from .exact import as_int64_array, check_int64, checked_dot
+from .exact import as_int64_array, checked_dot, envelope, int64_rows
 from .geometry import GridPoint, Hyperplane, InstanceParams
 
 SENSE_LE = "le"
@@ -180,7 +180,7 @@ def build_kdtree(
     if leaf_capacity < 1:
         raise ValueError(f"leaf capacity must be >= 1, got {leaf_capacity}")
 
-    coords = as_int64_array(points, "point coordinates")
+    coords = int64_rows(points, dim, "point coordinates")
     order = np.arange(len(points), dtype=np.int64)
     counters = {"nodes": 0, "leaves": 0, "depth": 0}
 
@@ -288,13 +288,12 @@ def brute_force_query(
         )
     if not points:
         return []
-    coords = as_int64_array(points, "point coordinates")
-    # Envelope check once per constraint: the densest row bounds every dot.
-    max_abs = np.abs(coords).max(axis=0)
+    coords = int64_rows(points, q.d, "point coordinates")
+    # Envelope check once per constraint: the column maxima bound every dot.
+    max_abs = envelope(coords)
     mask = np.ones(len(points), dtype=bool)
     for h in q.constraints:
-        bound = int(sum(abs(c) * int(mx) for c, mx in zip(h.normal, max_abs)))
-        check_int64(bound, "dot product bound")
+        checked_dot(map(abs, h.normal), max_abs)
         values = coords @ as_int64_array(h.normal, "halfspace normal")
         mask &= values <= h.offset if h.sense == SENSE_LE else values >= h.offset
     return [points[i] for i in np.flatnonzero(mask)]

@@ -139,6 +139,25 @@ class TestVerify:
         assert rc == 0
         assert last_json(stdout)["richness_exact"] is True
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"points": [{"1": 0, "2": 0}]},
+            {"points": 5},
+            {"hyperplanes": [5]},
+            {"hyperplanes": [{"a": [1], "b": [1]}]},
+            {"params": [1]},
+            {"params": {"d": [2], "s": 2, "t": 2, "n": 16, "A": 2, "B": 4, "m": 8}},
+        ],
+    )
+    def test_malformed_section_shape_exits_2(self, section, tmp_path, capsys):
+        doc = {"params": {"d": 2, "s": 2, "t": 2, "n": 16, "A": 2, "B": 4, "m": 8}, **section}
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        rc, stdout, stderr = run_cli(capsys, "verify", str(path))
+        assert (rc, stdout) == (2, "")
+        assert stderr.startswith("error:")
+
     def test_library_report_matches_cli(self, instance_file, capsys):
         rc, stdout, _ = run_cli(capsys, "verify", str(instance_file))
         assert rc == 0

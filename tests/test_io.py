@@ -77,8 +77,9 @@ class TestInstanceSchema:
             instance_from_dict(doc)
 
     def test_missing_params_rejected(self):
-        with pytest.raises(ValueError):
-            instance_from_dict({"points": [[1, 1]]})
+        for doc in ({"points": [[1, 1]]}, 5, "params"):
+            with pytest.raises(ValueError):
+                instance_from_dict(doc)
 
 
 def reference_instance_from_dict(doc):
@@ -171,6 +172,13 @@ class TestBulkLoader:
             reference_instance_from_dict({"params": D2_PARAMS, **sections})
         with pytest.raises(ValueError):
             instance_from_dict({"params": D2_PARAMS, **sections})
+
+    @pytest.mark.parametrize("row", ["12", {"1": 0, "2": 0}])
+    def test_str_and_dict_rows_are_value_errors(self, row):
+        # Not a parity case: the per-value reference iterates both rows and
+        # loads them as the point (1, 2).
+        with pytest.raises(ValueError):
+            instance_from_dict({"params": D2_PARAMS, "points": [row]})
 
     @pytest.mark.parametrize(
         "sections",

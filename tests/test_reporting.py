@@ -305,6 +305,26 @@ class TestBruteForceOracle:
             assert set(reported) == set(brute_force_query(points, q))
 
 
+class TestOracleEnvelope:
+    """brute_force_query and the kd-tree must agree on what overflows."""
+
+    def test_int64_min_coordinate_overflows_both(self):
+        # |x1| + |x2| reaches 2**63 + 1: an int64 scan would wrap the value
+        # -2**63 - 1 of the first point to INT64_MAX and silently drop it.
+        points = [(-(2**63), -1), (0, 0)]
+        q = SimplexQuery((Halfspace((1, 1), 0, "le"),))
+        with pytest.raises(ArithmeticOverflow):
+            brute_force_query(points, q)
+        with pytest.raises(ArithmeticOverflow):
+            query(build_kdtree(points), q)
+
+    def test_bound_at_int64_max_agrees(self):
+        points = [(-(2**63) + 1, 5), (0, 0), (1, -1)]
+        q = SimplexQuery((Halfspace((1, 0), 0, "le"),))
+        reported, _ = query(build_kdtree(points), q)
+        assert sorted(brute_force_query(points, q)) == sorted(reported) == points[:2]
+
+
 class TestRandomQueries:
     def test_seed_determinism(self, d3_instance):
         params, _, _ = d3_instance
