@@ -87,7 +87,7 @@ def instance_from_dict(doc: dict) -> InstanceDocument:
     a corrupted section must load so the verifiers can flag it.  Each
     section is converted to int64 in one pass, so a value outside the
     64-bit envelope raises ArithmeticOverflow here, and a section of the
-    wrong shape raises ValueError.
+    wrong shape, or a hyperplane without 'a' or 'b', raises ValueError.
     """
     if not isinstance(doc, dict) or "params" not in doc:
         raise ValueError("instance document has no 'params' object")
@@ -101,9 +101,13 @@ def instance_from_dict(doc: dict) -> InstanceDocument:
         stored = doc["hyperplanes"]
         if not isinstance(stored, list) or not all(isinstance(h, dict) for h in stored):
             raise ValueError("hyperplanes must be a list of {'a': [...], 'b': ...} objects")
-        slopes = int64_rows([h["a"] for h in stored], params.d - 1, "hyperplane slopes")
-        # All offsets as one row, so a non-scalar b is a ValueError too.
-        offsets = int64_rows([[h["b"] for h in stored]], len(stored), "hyperplane offsets")[0]
+        try:
+            slopes = int64_rows([h["a"] for h in stored], params.d - 1, "hyperplane slopes")
+            # All offsets as one row, so a non-scalar b is a ValueError too.
+            offsets = int64_rows([[h["b"] for h in stored]], len(stored), "hyperplane offsets")[0]
+        except KeyError as exc:
+            index = next(i for i, h in enumerate(stored) if exc.args[0] not in h)
+            raise ValueError(f"hyperplane {index} has no {exc.args[0]!r} key") from None
         # Hyperplane(a, b) rejects coefficients below 1.
         hyperplanes = list(map(Hyperplane, map(tuple, slopes.tolist()), offsets.tolist()))
     return InstanceDocument(params=params, points=points, hyperplanes=hyperplanes)

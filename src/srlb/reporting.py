@@ -120,46 +120,40 @@ def classify_box(
     return BoxRelation.CROSSING
 
 
-class _Node:
-    __slots__ = ("lo", "hi", "start", "end", "axis", "split", "left", "right")
-
-    def __init__(self, lo: tuple[int, ...], hi: tuple[int, ...], start: int, end: int):
-        self.lo = lo
-        self.hi = hi
-        self.start = start
-        self.end = end
-        self.axis = -1  # -1 marks a leaf
-        self.split = 0
-        self.left: Optional[_Node] = None
-        self.right: Optional[_Node] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.axis < 0
-
-
-@dataclass
+@dataclass(frozen=True)
 class KdTree:
     """Static kd-tree over integer points; immutable after build.
 
     Points are never copied into nodes: `order` is a build-time permutation
     of point indices and every node owns one contiguous slice of it, so a
     subtree Inside all constraints is reported by emitting its slice in
-    stored order.
+    stored order.  Node i has children 2i+1 and 2i+2, and a slice of more
+    than leaf_capacity points splits at start + (end - start) // 2, so n
+    and leaf_capacity fix the shape.  boxes[i] is node i's (lo, hi) as
+    Python ints, or None where the shape has no node i.
     """
 
     points: list[GridPoint]
     order: list[int]
-    root: _Node
     dim: int
     leaf_capacity: int
-    node_count: int
-    leaf_count: int
-    depth: int
+    boxes: list[Optional[tuple[tuple[int, ...], tuple[int, ...]]]]
 
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.boxes) - self.boxes.count(None)
+
+    @property
+    def leaf_count(self) -> int:
+        return (self.node_count + 1) // 2  # every inner node has two children
+
+    @property
+    def depth(self) -> int:
+        return len(self.boxes).bit_length()
 
 
 def build_kdtree(
@@ -168,9 +162,9 @@ def build_kdtree(
     """Balanced kd-tree: median splits with axes cycling 0, 1, ..., d-1.
 
     Median ties are broken by point index, so the build is deterministic
-    for a given input order.  Split invariant: coordinates on the split
-    axis are <= split in the left subtree and >= split in the right, with
-    the tie-broken index order deciding equal coordinates.
+    for a given input order.  Split invariant: on the split axis, every
+    coordinate in the left subtree is <= every coordinate in the right,
+    with the tie-broken index order deciding equal coordinates.
     """
     if not points:
         raise EmptyInput("cannot build a tree over zero points")
@@ -182,42 +176,26 @@ def build_kdtree(
 
     coords = int64_rows(points, dim, "point coordinates")
     order = np.arange(len(points), dtype=np.int64)
-    counters = {"nodes": 0, "leaves": 0, "depth": 0}
+    boxes: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
-    def build(start: int, end: int, axis: int, level: int) -> _Node:
-        counters["nodes"] += 1
-        counters["depth"] = max(counters["depth"], level)
+    def build(node: int, start: int, end: int, axis: int) -> None:
         slice_idx = order[start:end]
         block = coords[slice_idx]
-        node = _Node(
-            lo=tuple(int(v) for v in block.min(axis=0)),
-            hi=tuple(int(v) for v in block.max(axis=0)),
-            start=start,
-            end=end,
-        )
+        boxes[node] = (tuple(block.min(axis=0).tolist()), tuple(block.max(axis=0).tolist()))
         if end - start <= leaf_capacity:
-            counters["leaves"] += 1
-            return node
-        perm = np.lexsort((slice_idx, block[:, axis]))
-        order[start:end] = slice_idx[perm]
-        mid = (end - start) // 2
-        node.axis = axis
-        node.split = int(coords[order[start + mid - 1], axis])
-        next_axis = (axis + 1) % dim
-        node.left = build(start, start + mid, next_axis, level + 1)
-        node.right = build(start + mid, end, next_axis, level + 1)
-        return node
+            return
+        order[start:end] = slice_idx[np.lexsort((slice_idx, block[:, axis]))]
+        mid = start + (end - start) // 2
+        build(2 * node + 1, start, mid, (axis + 1) % dim)
+        build(2 * node + 2, mid, end, (axis + 1) % dim)
 
-    root = build(0, len(points), 0, 1)
+    build(0, 0, len(points), 0)
     return KdTree(
         points=list(points),
-        order=[int(i) for i in order],
-        root=root,
+        order=order.tolist(),
         dim=dim,
         leaf_capacity=leaf_capacity,
-        node_count=counters["nodes"],
-        leaf_count=counters["leaves"],
-        depth=counters["depth"],
+        boxes=[boxes.get(i) for i in range(max(boxes) + 1)],
     )
 
 
@@ -233,31 +211,33 @@ def query(tree: KdTree, q: SimplexQuery) -> tuple[list[GridPoint], QueryStats]:
         )
     stats = QueryStats()
     out: list[int] = []
-    points, order = tree.points, tree.order
+    points, order, boxes, capacity = tree.points, tree.order, tree.boxes, tree.leaf_capacity
 
-    def visit(node: _Node, active: tuple[Halfspace, ...]) -> None:
+    def visit(node: int, start: int, end: int, active: tuple[Halfspace, ...]) -> None:
         stats.nodes_visited += 1
+        lo, hi = boxes[node]
         remaining = []
         for h in active:
-            rel = classify_box(node.lo, node.hi, h)
+            rel = classify_box(lo, hi, h)
             if rel is BoxRelation.OUTSIDE:
                 return
             if rel is BoxRelation.CROSSING:
                 remaining.append(h)
         if not remaining:
-            out.extend(order[node.start : node.end])
+            out.extend(order[start:end])
             return
-        if node.is_leaf:
+        if end - start <= capacity:
             stats.leaves_scanned += 1
-            for i in order[node.start : node.end]:
+            for i in order[start:end]:
                 stats.points_tested += 1
                 if all(h.contains(points[i]) for h in remaining):
                     out.append(i)
             return
-        visit(node.left, tuple(remaining))
-        visit(node.right, tuple(remaining))
+        mid = start + (end - start) // 2
+        visit(2 * node + 1, start, mid, tuple(remaining))
+        visit(2 * node + 2, mid, end, tuple(remaining))
 
-    visit(tree.root, q.constraints)
+    visit(0, 0, tree.n, q.constraints)
     stats.points_reported = len(out)
     return [points[i] for i in out], stats
 

@@ -111,6 +111,14 @@ class TestVerify:
         assert report["k2beta_free"] is False
         assert report["max_pair_coverage"] == 2
 
+    def test_hyperplane_without_offset_names_the_key(self, instance_file, capsys):
+        doc = json.loads(instance_file.read_text())
+        doc["hyperplanes"] = [{"a": [1], "b": 1}, {"a": [2]}]
+        instance_file.write_text(json.dumps(doc))
+        rc, stdout, stderr = run_cli(capsys, "verify", str(instance_file))
+        assert (rc, stdout) == (2, "")
+        assert stderr == "error: hyperplane 1 has no 'b' key\n"
+
     def test_out_of_family_hyperplane_flags_containment(self, instance_file, capsys):
         doc = json.loads(instance_file.read_text())
         doc["hyperplanes"][0] = {"a": [5], "b": 4}  # eval at x=2 gives 14 > 8

@@ -11,7 +11,7 @@ from srlb.errors import (
     DimensionMismatch,
     InstanceTooLarge,
 )
-from srlb.exact import INT64_MAX, as_int64_array, check_int64
+from srlb.exact import INT64_MAX, INT64_MIN, as_int64_array, check_int64, envelope
 from srlb.geometry import (
     Hyperplane,
     InstanceParams,
@@ -48,11 +48,11 @@ def naive_incidence_graph(points, hyperplanes):
 
     coords = as_int64_array(points, "point coordinates")
     base, last = coords[:, :-1], coords[:, -1]
-    max_abs = np.abs(base).max(axis=0)
+    max_abs = envelope(base)
     adjacency = []
     for h in hyperplanes:
         # int64 matmul must not wrap, even for out-of-family hyperplanes.
-        bound = sum(abs(c) * int(mx) for c, mx in zip(h.a, max_abs)) + abs(h.b)
+        bound = sum(abs(c) * mx for c, mx in zip(h.a, max_abs)) + abs(h.b)
         check_int64(bound, f"incidence evaluation bound for {h}")
         values = base @ as_int64_array(h.a, "hyperplane coefficients") + h.b
         adjacency.append(tuple(int(i) for i in np.flatnonzero(values == last)))
@@ -333,6 +333,12 @@ def _coefficient_leaves_int64():
     return [(2, 3), (1, 2)], [Hyperplane(a=(1,), b=1), Hyperplane(a=(2**63,), b=1)]
 
 
+def _int64_min_base():
+    # |X_1| = 2**63 takes the bound to 2**63 + 1; an np.abs bound wraps to
+    # -2**63 + 1 and would let the point through as incident.
+    return [(INT64_MIN, INT64_MIN + 1)], [Hyperplane(a=(1,), b=1)]
+
+
 def _bases_tie_on_leading_coordinates():
     # d = 4, shuffled, with repeats: the bases share X_1, mostly X_2 too,
     # and differ in X_3, so grouping them must compare every base column.
@@ -359,6 +365,7 @@ SORT_JOIN_INPUTS = {
     "family_bound_overflows_each_fits": _family_bound_overflows,
     "second_hyperplane_overflows": _second_hyperplane_overflows,
     "coefficient_leaves_int64": _coefficient_leaves_int64,
+    "int64_min_base_coordinate": _int64_min_base,
     "shuffled_d4_bases_tie_on_leading_coordinates": _bases_tie_on_leading_coordinates,
 }
 
@@ -385,7 +392,7 @@ def _check_sort_join(case):
         with pytest.raises(ArithmeticOverflow) as raised:
             build_incidence_graph(points, hyperplanes)
         assert str(raised.value) == str(exc)
-        assert str(hyperplanes[1]) in str(exc)
+        assert str(hyperplanes[-1]) in str(exc)  # the last is the first to overflow
         return
     assert build_incidence_graph(points, hyperplanes) == expected
     if case == "family_bound_overflows_each_fits":

@@ -134,8 +134,6 @@ LOADER_CASES = {
     "non_numeric_string": (D2_PARAMS, {"points": [["1", "x"]]}),
     "fractional_string": (D2_PARAMS, {"hyperplanes": [{"a": ["1.5"], "b": 1}]}),
     "nan_coordinate": (D2_PARAMS, {"points": [[1, float("nan")]]}),
-    "missing_b": (D2_PARAMS, {"hyperplanes": [{"a": [1], "b": 1}, {"a": [2]}]}),
-    "missing_a": (D2_PARAMS, {"hyperplanes": [{"b": 1}]}),
     "int64_extremes": (D2_PARAMS, {"points": [[-(2**63), 2**63 - 1]],
                                    "hyperplanes": [{"a": [2**63 - 1], "b": 2**63 - 1}]}),
 }
@@ -172,6 +170,23 @@ class TestBulkLoader:
             reference_instance_from_dict({"params": D2_PARAMS, **sections})
         with pytest.raises(ValueError):
             instance_from_dict({"params": D2_PARAMS, **sections})
+
+    @pytest.mark.parametrize(
+        "hyperplanes,message",
+        [
+            ([{"a": [1], "b": 1}, {"a": [2]}], "hyperplane 1 has no 'b' key"),
+            ([{"b": 1}], "hyperplane 0 has no 'a' key"),
+        ],
+        ids=["missing_b", "missing_a"],
+    )
+    def test_missing_key_names_the_hyperplane(self, hyperplanes, message):
+        # Not a parity case: the per-value reference raises a bare KeyError.
+        doc = {"params": D2_PARAMS, "hyperplanes": hyperplanes}
+        with pytest.raises(KeyError):
+            reference_instance_from_dict(doc)
+        with pytest.raises(ValueError) as raised:
+            instance_from_dict(doc)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("row", ["12", {"1": 0, "2": 0}])
     def test_str_and_dict_rows_are_value_errors(self, row):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from srlb.errors import ArithmeticOverflow, DimensionMismatch, EmptyInput
@@ -15,6 +16,7 @@ from srlb.geometry import (
 from srlb.reporting import (
     BoxRelation,
     Halfspace,
+    QueryStats,
     SimplexQuery,
     brute_force_query,
     build_kdtree,
@@ -131,7 +133,7 @@ class TestBuildKdTree:
         tree = build_kdtree([(3, 4)])
         assert tree.node_count == tree.leaf_count == 1
         assert tree.depth == 1
-        assert tree.root.lo == tree.root.hi == (3, 4)
+        assert tree.boxes == [((3, 4), (3, 4))]
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -159,25 +161,30 @@ class TestBuildKdTree:
     def test_structure_invariants(self, d3_instance):
         _, points, _ = d3_instance
         tree = build_kdtree(points, leaf_capacity=4)
+        seen, leaf_levels = set(), []
 
-        def walk(node):
-            block = [points[i] for i in tree.order[node.start : node.end]]
+        def walk(node, start, end, axis, level):
+            seen.add(node)
+            lo, hi = tree.boxes[node]
+            block = [points[i] for i in tree.order[start:end]]
             for p in block:
-                assert all(node.lo[ax] <= p[ax] <= node.hi[ax] for ax in range(3))
-            if node.is_leaf:
+                assert all(lo[ax] <= p[ax] <= hi[ax] for ax in range(3))
+            if end - start <= tree.leaf_capacity:
                 assert len(block) <= tree.leaf_capacity
+                leaf_levels.append(level)
                 return
-            assert node.left.start == node.start and node.right.end == node.end
-            assert node.left.end == node.right.start
-            left_coords = [points[i][node.axis]
-                           for i in tree.order[node.left.start : node.left.end]]
-            right_coords = [points[i][node.axis]
-                            for i in tree.order[node.right.start : node.right.end]]
-            assert max(left_coords) <= node.split <= min(right_coords)
-            walk(node.left)
-            walk(node.right)
+            mid = start + (end - start) // 2
+            left_coords = [p[axis] for p in block[: mid - start]]
+            right_coords = [p[axis] for p in block[mid - start :]]
+            assert max(left_coords) <= min(right_coords)
+            walk(2 * node + 1, start, mid, (axis + 1) % 3, level + 1)
+            walk(2 * node + 2, mid, end, (axis + 1) % 3, level + 1)
 
-        walk(tree.root)
+        walk(0, 0, tree.n, 0, 1)
+        assert seen == {i for i, box in enumerate(tree.boxes) if box is not None}
+        assert len(seen) == tree.node_count
+        assert len(leaf_levels) == tree.leaf_count
+        assert max(leaf_levels) == tree.depth
 
     def test_deterministic_build(self, d2_instance):
         _, points, _ = d2_instance
@@ -339,3 +346,134 @@ class TestRandomQueries:
             for h in q.constraints:
                 assert any(c != 0 for c in h.normal)
                 assert all(-params.A <= c <= params.A for c in h.normal)
+
+
+class _ReferenceNode:
+    __slots__ = ("lo", "hi", "start", "end", "axis", "split", "left", "right")
+
+    def __init__(self, lo, hi, start, end):
+        self.lo, self.hi, self.start, self.end = lo, hi, start, end
+        self.axis = -1  # -1 marks a leaf
+        self.split = 0
+        self.left = self.right = None
+
+
+def reference_build_kdtree(points, leaf_capacity):
+    """The kd-tree as an object graph, one node object per node.
+
+    Returns (root, order, counters), with counters holding the node count,
+    the leaf count and the depth.  This is the layout the heap-numbered
+    boxes replaced, kept as the oracle for build_kdtree and query.
+    """
+    dim = len(points[0])
+    coords = np.asarray(points, dtype=np.int64)
+    order = np.arange(len(points), dtype=np.int64)
+    counters = {"nodes": 0, "leaves": 0, "depth": 0}
+
+    def build(start, end, axis, level):
+        counters["nodes"] += 1
+        counters["depth"] = max(counters["depth"], level)
+        slice_idx = order[start:end]
+        block = coords[slice_idx]
+        node = _ReferenceNode(
+            lo=tuple(int(v) for v in block.min(axis=0)),
+            hi=tuple(int(v) for v in block.max(axis=0)),
+            start=start,
+            end=end,
+        )
+        if end - start <= leaf_capacity:
+            counters["leaves"] += 1
+            return node
+        perm = np.lexsort((slice_idx, block[:, axis]))
+        order[start:end] = slice_idx[perm]
+        mid = (end - start) // 2
+        node.axis = axis
+        node.split = int(coords[order[start + mid - 1], axis])
+        next_axis = (axis + 1) % dim
+        node.left = build(start, start + mid, next_axis, level + 1)
+        node.right = build(start + mid, end, next_axis, level + 1)
+        return node
+
+    root = build(0, len(points), 0, 1)
+    return root, [int(i) for i in order], counters
+
+
+def reference_query(root, points, order, q):
+    """The recursive traversal over the object graph; returns (reported, stats)."""
+    stats = QueryStats()
+    out = []
+
+    def visit(node, active):
+        stats.nodes_visited += 1
+        remaining = []
+        for h in active:
+            rel = classify_box(node.lo, node.hi, h)
+            if rel is BoxRelation.OUTSIDE:
+                return
+            if rel is BoxRelation.CROSSING:
+                remaining.append(h)
+        if not remaining:
+            out.extend(order[node.start : node.end])
+            return
+        if node.axis < 0:
+            stats.leaves_scanned += 1
+            for i in order[node.start : node.end]:
+                stats.points_tested += 1
+                if all(h.contains(points[i]) for h in remaining):
+                    out.append(i)
+            return
+        visit(node.left, tuple(remaining))
+        visit(node.right, tuple(remaining))
+
+    visit(root, q.constraints)
+    stats.points_reported = len(out)
+    return [points[i] for i in out], stats
+
+
+def _reference_boxes(root):
+    """Every reference node's (lo, hi), keyed by its heap number."""
+    boxes, stack = {}, [(0, root)]
+    while stack:
+        number, node = stack.pop()
+        boxes[number] = (node.lo, node.hi)
+        if node.axis >= 0:
+            stack += [(2 * number + 1, node.left), (2 * number + 2, node.right)]
+    return boxes
+
+
+def _random_query(rng, d):
+    constraints = []
+    for _ in range(rng.randint(1, d + 1)):
+        normal = (0,) * d
+        while not any(normal):
+            normal = tuple(rng.randint(-3, 3) for _ in range(d))
+        reach = 5 * sum(map(abs, normal))
+        constraints.append(
+            Halfspace(normal, rng.randint(-reach, reach), rng.choice(("le", "ge")))
+        )
+    return SimplexQuery(tuple(constraints))
+
+
+class TestHeapLayoutMatchesObjectGraph:
+    """build_kdtree and query against the object-graph reference tree."""
+
+    @pytest.mark.parametrize("leaf_capacity", [1, 2, 4, 7, 16])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_same_tree_and_same_answers(self, d, leaf_capacity):
+        rng = random.Random(1000 * d + leaf_capacity)
+        for n in (1, 2, leaf_capacity + 1, rng.randint(3, 60), rng.randint(100, 300)):
+            # Coordinates in [-5, 5]: negative values and many duplicates.
+            points = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(n)]
+            tree = build_kdtree(points, leaf_capacity=leaf_capacity)
+            root, order, counters = reference_build_kdtree(points, leaf_capacity)
+            assert tree.order == order
+            assert (tree.node_count, tree.leaf_count, tree.depth) == (
+                counters["nodes"], counters["leaves"], counters["depth"]
+            )
+            boxes = _reference_boxes(root)
+            assert {i: box for i, box in enumerate(tree.boxes) if box is not None} == boxes
+            values = [c for lo, hi in filter(None, tree.boxes) for c in (*lo, *hi)]
+            assert all(type(c) is int for c in values)
+            for _ in range(20):
+                q = _random_query(rng, d)
+                assert query(tree, q) == reference_query(root, points, order, q)
