@@ -30,14 +30,12 @@ from .geometry import (
     normalize_params,
 )
 from .incidence import (
-    BoundReport,
     IncidenceGraph,
     bound_report,
     build_incidence_graph,
     pair_coverage,
     richness_histogram,
     verify_instance,
-    verify_no_k2beta,
 )
 from .reporting import (
     Halfspace,
@@ -57,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArithmeticOverflow",
-    "BoundReport",
     "DimensionMismatch",
     "EmptyInput",
     "ExperimentPlan",
@@ -95,5 +92,4 @@ __all__ = [
     "run_plan",
     "slab_query_for",
     "verify_instance",
-    "verify_no_k2beta",
 ]

@@ -75,18 +75,9 @@ def aggregate_rows(per_query_rows: Sequence[dict]) -> list[dict]:
         return []
     n, d = per_query_rows[0]["n"], per_query_rows[0]["d"]
     cols = ("k", "nodes_visited", "leaves_scanned", "points_tested")
-    count = len(per_query_rows)
-    means = {c: sum(r[c] for r in per_query_rows) / count for c in cols}
-    maxes = {c: max(r[c] for r in per_query_rows) for c in cols}
     return [
-        stats_row(n, d, "mean", means["k"],
-                  nodes_visited=means["nodes_visited"],
-                  leaves_scanned=means["leaves_scanned"],
-                  points_tested=means["points_tested"]),
-        stats_row(n, d, "max", maxes["k"],
-                  nodes_visited=maxes["nodes_visited"],
-                  leaves_scanned=maxes["leaves_scanned"],
-                  points_tested=maxes["points_tested"]),
+        stats_row(n, d, query_id, **{c: reduce([r[c] for r in per_query_rows]) for c in cols})
+        for query_id, reduce in (("mean", lambda v: sum(v) / len(v)), ("max", max))
     ]
 
 

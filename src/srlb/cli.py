@@ -16,20 +16,11 @@ from typing import Optional, Sequence
 from . import bench as bench_mod
 from . import incidence, io, reporting
 from .errors import InstanceTooLarge, SrlbError
-from .geometry import (
-    InstanceParams,
-    generate_hyperplanes,
-    generate_points,
-    normalize_params,
-)
+from .geometry import generate_hyperplanes, generate_points, normalize_params
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
-
-
-def _default_instance_path(params: InstanceParams) -> Path:
-    return Path(f"instance_d{params.d}_n{params.n}_t{params.t}.json")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -38,12 +29,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     incidence.check_instance_cost(params)
     points = generate_points(params)
     hyperplanes = generate_hyperplanes(params)
-    out = Path(args.out) if args.out else _default_instance_path(params)
+    out = Path(args.out or f"instance_d{params.d}_n{params.n}_t{params.t}.json")
     io.save_instance(out, params, points, hyperplanes)
-    report = incidence.bound_report(params)
     print(json.dumps({
         "params": io.params_to_dict(params),
-        "bound": io.bound_report_to_dict(report),
+        "bound": incidence.bound_report(params),
         "out": str(out),
     }))
     return EXIT_OK
@@ -102,12 +92,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     params = normalize_params(args.d, args.n, args.t)
-    report = incidence.bound_report(params)
     space = params.n if args.space == "n" else int(args.space)
     if space < 1:
         raise ValueError(f"hypothetical space must be >= 1, got {space}")
     implied = (params.n**2 / space) ** ((params.d - 1) / params.d)
-    doc = io.bound_report_to_dict(report)
+    doc = incidence.bound_report(params)
     doc["space"] = space
     doc["implied_query_bound"] = float(f"{implied:.6g}")
     print(json.dumps(doc))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import ArithmeticOverflow, DimensionMismatch, PointEscapesGrid, RangeTooTight
 from .exact import MAX_POINTS, check_int64, checked_dot, iroot
@@ -163,15 +162,10 @@ def largest_valid_richness(d: int, n_requested: int) -> InstanceParams:
     raise RangeTooTight(f"no valid richness exists for d={d}, n={n_requested}")
 
 
-def iter_points(params: InstanceParams) -> Iterator[GridPoint]:
-    """Lattice points in row-major order (last axis fastest)."""
-    axes = [range(1, params.s + 1)] * (params.d - 1) + [range(1, params.rows + 1)]
-    return itertools.product(*axes)
-
-
 def generate_points(params: InstanceParams) -> list[GridPoint]:
-    """All n grid points of the instance, deterministic row-major order."""
-    return list(iter_points(params))
+    """All n grid points of the instance, in row-major order (last axis fastest)."""
+    axes = [range(1, params.s + 1)] * (params.d - 1) + [range(1, params.rows + 1)]
+    return list(itertools.product(*axes))
 
 
 def generate_hyperplanes(params: InstanceParams) -> list[Hyperplane]:

@@ -16,16 +16,21 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ArithmeticOverflow, DimensionMismatch, InstanceTooLarge
 from .exact import INT64_MAX, MAX_POINTS, as_int64_array, check_int64, envelope, int64_rows
-from .geometry import GridPoint, Hyperplane, InstanceParams, eval_hyperplane
-
-if TYPE_CHECKING:
-    from .io import InstanceDocument
+from .geometry import (
+    GridPoint,
+    Hyperplane,
+    InstanceParams,
+    eval_hyperplane,
+    generate_hyperplanes,
+    generate_points,
+)
+from .io import InstanceDocument
 
 DEFAULT_PAIR_BUDGET = 10**9
 
@@ -98,18 +103,6 @@ class IncidenceGraph:
         """The rows as tuples, built on first use; no verify check needs them."""
         flat, ends = self.indices.tolist(), self.indptr.tolist()
         return tuple(tuple(flat[lo:hi]) for lo, hi in zip(ends, ends[1:]))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Space bound m*t/beta for alpha = 2, with exact rational arithmetic."""
-
-    m: int
-    t: int
-    alpha: int
-    beta: int
-    space_figure_of_merit: Fraction
-    predicted_query_exponent: Fraction
 
 
 def _checked_coefficients(
@@ -271,18 +264,6 @@ def pair_coverage(
     return int(runs[first]), (witness_code // n, witness_code % n)
 
 
-def verify_no_k2beta(
-    graph: IncidenceGraph, params: InstanceParams, budget: int = DEFAULT_PAIR_BUDGET
-) -> bool:
-    """True iff no two points share more than A**(d-2) hyperplanes.
-
-    Equivalently: beta = A**(d-2) + 1 hyperplanes never have two points in
-    common, i.e. the incidence graph contains no K_{2, beta}.
-    """
-    max_common, _ = pair_coverage(graph, budget=budget)
-    return max_common <= params.pair_coverage_bound()
-
-
 def check_instance_cost(params: InstanceParams, budget: int = DEFAULT_PAIR_BUDGET) -> None:
     """Refuse an instance whose verification would exceed `budget`.
 
@@ -314,8 +295,8 @@ def verify_instance(doc: InstanceDocument, budget: int = DEFAULT_PAIR_BUDGET) ->
     """
     params = doc.params
     check_instance_cost(params, budget)
-    points = doc.materialized_points()
-    hyperplanes = doc.materialized_hyperplanes()
+    points = doc.points if doc.points is not None else generate_points(params)
+    hyperplanes = doc.hyperplanes if doc.hyperplanes is not None else generate_hyperplanes(params)
     tests = len(points) * len(hyperplanes)
     if tests > budget:
         raise InstanceTooLarge(
@@ -338,20 +319,23 @@ def verify_instance(doc: InstanceDocument, budget: int = DEFAULT_PAIR_BUDGET) ->
     }
 
 
-def bound_report(params: InstanceParams) -> BoundReport:
-    """Evaluate the alpha = 2 space bound for the instance.
+def bound_report(params: InstanceParams) -> dict:
+    """The alpha = 2 space bound for the instance, as `gen` and `bound` print it.
 
     beta = A**(d-2) + 1 and the figure of merit is m*t/beta, the framework
     bound with the 2^O(alpha) factor normalized to 1 (it is a constant for
     alpha = 2 but its value is not recoverable).  The predicted query
-    exponent at linear space is (d-1)/d.
+    exponent at linear space is (d-1)/d.  Both rationals are exact, as
+    {"num", "den"} in lowest terms.
     """
     beta = params.pair_coverage_bound() + 1
-    return BoundReport(
-        m=params.m,
-        t=params.t,
-        alpha=2,
-        beta=beta,
-        space_figure_of_merit=Fraction(params.m * params.t, beta),
-        predicted_query_exponent=Fraction(params.d - 1, params.d),
-    )
+    merit = Fraction(params.m * params.t, beta)
+    exponent = Fraction(params.d - 1, params.d)
+    return {
+        "m": params.m,
+        "t": params.t,
+        "alpha": 2,
+        "beta": beta,
+        "figure_of_merit": {"num": merit.numerator, "den": merit.denominator},
+        "exponent": {"num": exponent.numerator, "den": exponent.denominator},
+    }

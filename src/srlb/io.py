@@ -16,19 +16,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, fields
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .exact import int64_rows
-from .geometry import (
-    GridPoint,
-    Hyperplane,
-    InstanceParams,
-    generate_hyperplanes,
-    generate_points,
-)
-from .incidence import BoundReport
+from .geometry import GridPoint, Hyperplane, InstanceParams
 from .reporting import QueryStats
 
 PathLike = Union[str, Path]
@@ -43,14 +35,6 @@ class InstanceDocument:
     params: InstanceParams
     points: Optional[list[GridPoint]]
     hyperplanes: Optional[list[Hyperplane]]
-
-    def materialized_points(self) -> list[GridPoint]:
-        return self.points if self.points is not None else generate_points(self.params)
-
-    def materialized_hyperplanes(self) -> list[Hyperplane]:
-        if self.hyperplanes is not None:
-            return self.hyperplanes
-        return generate_hyperplanes(self.params)
 
 
 def params_to_dict(params: InstanceParams) -> dict:
@@ -124,21 +108,6 @@ def save_instance(
 
 def load_instance(path: PathLike) -> InstanceDocument:
     return instance_from_dict(json.loads(Path(path).read_text()))
-
-
-def bound_report_to_dict(report: BoundReport) -> dict:
-    return {
-        "m": report.m,
-        "t": report.t,
-        "alpha": report.alpha,
-        "beta": report.beta,
-        "figure_of_merit": _fraction_to_dict(report.space_figure_of_merit),
-        "exponent": _fraction_to_dict(report.predicted_query_exponent),
-    }
-
-
-def _fraction_to_dict(f: Fraction) -> dict:
-    return {"num": f.numerator, "den": f.denominator}
 
 
 def format_stat(value: Union[int, float]) -> str:

@@ -199,6 +199,21 @@ def build_kdtree(
     )
 
 
+def _int64_normals(q: SimplexQuery, max_abs: Sequence[int]) -> list[np.ndarray]:
+    """The constraints' normals as int64, once every normal . x fits int64.
+
+    max_abs is the largest |x_i| per axis over the points, so
+    sum(|c_i| * max_abs_i) bounds each constraint's value at every point.
+    query and brute_force_query both call this before anything is pruned,
+    so they raise ArithmeticOverflow on the same queries.
+    """
+    normals = []
+    for h in q.constraints:
+        checked_dot(map(abs, h.normal), max_abs)
+        normals.append(as_int64_array(h.normal, "halfspace normal"))
+    return normals
+
+
 def query(tree: KdTree, q: SimplexQuery) -> tuple[list[GridPoint], QueryStats]:
     """Report every stored point satisfying all constraints, with stats.
 
@@ -209,6 +224,9 @@ def query(tree: KdTree, q: SimplexQuery) -> tuple[list[GridPoint], QueryStats]:
         raise DimensionMismatch(
             f"query is {q.d}-dimensional, tree stores {tree.dim}-dimensional points"
         )
+    # Only for the overflow check: the root box spans the points, so its
+    # per-axis max(|lo|, |hi|) is their envelope.
+    _int64_normals(q, [max(abs(lo), abs(hi)) for lo, hi in zip(*tree.boxes[0])])
     stats = QueryStats()
     out: list[int] = []
     points, order, boxes, capacity = tree.points, tree.order, tree.boxes, tree.leaf_capacity
@@ -269,12 +287,10 @@ def brute_force_query(
     if not points:
         return []
     coords = int64_rows(points, q.d, "point coordinates")
-    # Envelope check once per constraint: the column maxima bound every dot.
-    max_abs = envelope(coords)
+    normals = _int64_normals(q, envelope(coords))
     mask = np.ones(len(points), dtype=bool)
-    for h in q.constraints:
-        checked_dot(map(abs, h.normal), max_abs)
-        values = coords @ as_int64_array(h.normal, "halfspace normal")
+    for h, normal in zip(q.constraints, normals):
+        values = coords @ normal
         mask &= values <= h.offset if h.sense == SENSE_LE else values >= h.offset
     return [points[i] for i in np.flatnonzero(mask)]
 

@@ -26,7 +26,6 @@ from srlb.incidence import (
     build_incidence_graph,
     pair_coverage,
     richness_histogram,
-    verify_no_k2beta,
 )
 from srlb.reporting import (
     brute_force_query,
@@ -81,7 +80,6 @@ def test_criterion_2_pair_coverage(grid):
     for (d, k), (params, _, _, graph) in grid.items():
         max_common, witness = pair_coverage(graph)
         assert max_common <= params.pair_coverage_bound(), (d, k)
-        assert verify_no_k2beta(graph, params), (d, k)
         if d == 2:
             assert params.m >= 2 and params.t >= 2
             assert max_common == 1, (d, k)
@@ -208,4 +206,4 @@ def test_criterion_9_falsifiability(tmp_path, capsys):
         hyperplane_count=params.m,
         adjacency=tuple([(0, 1)] * beta + [()] * (params.m - beta)),
     )
-    assert verify_no_k2beta(planted, params) is False
+    assert pair_coverage(planted)[0] > params.pair_coverage_bound()

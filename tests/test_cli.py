@@ -7,7 +7,6 @@ import pytest
 import srlb.cli
 import srlb.geometry
 import srlb.incidence
-import srlb.io
 from srlb.cli import main
 from srlb.geometry import (
     generate_hyperplanes,
@@ -330,7 +329,7 @@ def no_generation(monkeypatch):
     def refuse(params):
         raise AssertionError(f"instance {params} generated before the pre-flight")
 
-    for module in (srlb.geometry, srlb.io, srlb.cli):
+    for module in (srlb.geometry, srlb.incidence, srlb.cli):
         monkeypatch.setattr(module, "generate_points", refuse)
         monkeypatch.setattr(module, "generate_hyperplanes", refuse)
 
@@ -485,3 +484,26 @@ class TestBound:
     def test_too_tight(self, capsys):
         rc, _, stderr = run_cli(capsys, "bound", "-d", "2", "-n", "4", "-t", "4")
         assert rc == 2
+
+
+# Exact stdout of `gen` and `bound`, recorded from the release before the
+# bound report became a plain dict: key order and number formatting.
+RECORDED_REPORTS = {
+    ("bound", "-d", "3", "-n", "96", "-t", "4"):
+        '{"m": 128, "t": 4, "alpha": 2, "beta": 5, "figure_of_merit": {"num": 512, "den": 5},'
+        ' "exponent": {"num": 2, "den": 3}, "space": 96, "implied_query_bound": 20.9659}\n',
+    ("bound", "-d", "2", "-n", "1048576", "-t", "2"):
+        '{"m": 34359738368, "t": 2, "alpha": 2, "beta": 2,'
+        ' "figure_of_merit": {"num": 34359738368, "den": 1}, "exponent": {"num": 1, "den": 2},'
+        ' "space": 1048576, "implied_query_bound": 1024.0}\n',
+    ("gen", "-d", "2", "-n", "64", "-t", "4"):
+        '{"params": {"d": 2, "s": 4, "t": 4, "n": 64, "A": 2, "B": 8, "m": 16},'
+        ' "bound": {"m": 16, "t": 4, "alpha": 2, "beta": 2, "figure_of_merit": {"num": 32,'
+        ' "den": 1}, "exponent": {"num": 1, "den": 2}}, "out": "instance_d2_n64_t4.json"}\n',
+}
+
+
+@pytest.mark.parametrize("argv", list(RECORDED_REPORTS), ids="_".join)
+def test_report_stdout_is_byte_identical(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv)[:2] == (0, RECORDED_REPORTS[argv])

@@ -28,7 +28,6 @@ from srlb.incidence import (
     pair_coverage,
     richness_histogram,
     verify_instance,
-    verify_no_k2beta,
 )
 from srlb.io import InstanceDocument
 
@@ -523,51 +522,28 @@ def test_containment_matches_reference(case):
     assert verify_instance(doc)["containment_ok"] is expected
 
 
-class TestVerifyNoK2Beta:
-    def test_planar(self, d2_graph):
-        params, graph = d2_graph
-        assert verify_no_k2beta(graph, params) is True
-
-    def test_3d(self, d3_graph):
-        params, graph = d3_graph
-        assert verify_no_k2beta(graph, params) is True
-
-    def test_adversarial_fixture_fails(self, d2_graph):
-        params, _ = d2_graph
-        # Two points sharing A**(d-2) + 1 = 2 hyperplanes: a K_{2,2}.
-        bad = IncidenceGraph.from_rows(
-            point_count=16,
-            hyperplane_count=8,
-            adjacency=((0, 1), (0, 1)) + ((),) * 6,
-        )
-        assert verify_no_k2beta(bad, params) is False
-
-    def test_budget_propagates(self, d2_graph):
-        params, graph = d2_graph
-        with pytest.raises(InstanceTooLarge):
-            verify_no_k2beta(graph, params, budget=1)
-
-
 class TestBoundReport:
     def test_planar_example(self):
         report = bound_report(normalize_params(2, 16, 2))
-        assert report.beta == 2
-        assert report.alpha == 2
-        assert report.space_figure_of_merit == Fraction(8)
-        assert report.predicted_query_exponent == Fraction(1, 2)
+        assert report["beta"] == 2
+        assert report["alpha"] == 2
+        assert report["figure_of_merit"] == {"num": 8, "den": 1}
+        assert report["exponent"] == {"num": 1, "den": 2}
 
     def test_3d_example(self):
         report = bound_report(normalize_params(3, 96, 4))
-        assert report.beta == 5
-        assert report.space_figure_of_merit == Fraction(512, 5)
-        assert report.predicted_query_exponent == Fraction(2, 3)
+        assert report["beta"] == 5
+        assert report["figure_of_merit"] == {"num": 512, "den": 5}
+        assert report["exponent"] == {"num": 2, "den": 3}
 
     def test_exact_rational_no_drift(self):
         params = normalize_params(3, 3993, 121)
         report = bound_report(params)
         beta = params.A ** (params.d - 2) + 1
-        assert report.space_figure_of_merit == Fraction(params.m * params.t, beta)
-        assert isinstance(report.space_figure_of_merit, Fraction)
+        merit = Fraction(params.m * params.t, beta)
+        # Lowest terms, exact integers: no float ever enters the figure.
+        assert report["figure_of_merit"] == {"num": merit.numerator, "den": merit.denominator}
+        assert all(type(v) is int for v in report["figure_of_merit"].values())
 
 
 class TestScalingLaw:

@@ -5,12 +5,11 @@ import pytest
 from srlb.cli import main
 from srlb.errors import ArithmeticOverflow
 from srlb.geometry import Hyperplane, normalize_params
-from srlb.incidence import bound_report
+from srlb.incidence import bound_report, verify_instance
 from srlb.io import (
     STATS_HEADER,
     InstanceDocument,
     StatsCsvWriter,
-    bound_report_to_dict,
     format_stat,
     instance_from_dict,
     instance_to_dict,
@@ -53,8 +52,8 @@ class TestInstanceSchema:
         save_instance(path, params)
         doc = load_instance(path)
         assert doc.points is None and doc.hyperplanes is None
-        assert doc.materialized_points() == points
-        assert doc.materialized_hyperplanes() == hyperplanes
+        full = InstanceDocument(params=params, points=points, hyperplanes=hyperplanes)
+        assert verify_instance(doc) == verify_instance(full)
 
     def test_schema_shape(self, d2_instance):
         params, points, hyperplanes = d2_instance
@@ -221,8 +220,8 @@ class TestBulkLoader:
 
 class TestBoundReportSchema:
     def test_exact_rationals(self):
-        report = bound_report(normalize_params(3, 96, 4))
-        doc = bound_report_to_dict(report)
+        doc = bound_report(normalize_params(3, 96, 4))
+        assert list(doc) == ["m", "t", "alpha", "beta", "figure_of_merit", "exponent"]
         assert doc["figure_of_merit"] == {"num": 512, "den": 5}
         assert doc["exponent"] == {"num": 2, "den": 3}
         assert doc["alpha"] == 2 and doc["beta"] == 5

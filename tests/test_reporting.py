@@ -331,6 +331,29 @@ class TestOracleEnvelope:
         reported, _ = query(build_kdtree(points), q)
         assert sorted(brute_force_query(points, q)) == sorted(reported) == points[:2]
 
+    @pytest.mark.parametrize(
+        "points,constraints",
+        [
+            # The envelope (2**62, 2**62) bounds |x1 + x2| by 2**63, although
+            # no box vertex the traversal evaluates gets that far.
+            ([(-(2**62), 0), (0, 2**62)], (Halfspace((1, 1), 0, "le"),)),
+            # The first constraint prunes the root, so the traversal never
+            # evaluates the second one.
+            ([(0, 0), (1, 1)],
+             (Halfspace((1, 0), -5, "le"), Halfspace((2**62, 2**62), 0, "le"))),
+            # A zero envelope bounds every value by 0, but the normal itself
+            # does not fit int64.
+            ([(0, 0), (0, 0)], (Halfspace((2**64, 1), 0, "le"),)),
+        ],
+        ids=["per_axis_maximum", "after_pruning_constraint", "normal_outside_int64"],
+    )
+    def test_envelope_overflow_raises_in_both(self, points, constraints):
+        q = SimplexQuery(constraints)
+        with pytest.raises(ArithmeticOverflow):
+            brute_force_query(points, q)
+        with pytest.raises(ArithmeticOverflow):
+            query(build_kdtree(points), q)
+
 
 class TestRandomQueries:
     def test_seed_determinism(self, d3_instance):
