@@ -14,7 +14,8 @@ the computed last coordinate inside the grid.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Optional
 
 from .errors import ArithmeticOverflow, DimensionMismatch, PointEscapesGrid, RangeTooTight
 from .exact import MAX_POINTS, check_int64, checked_dot, iroot
@@ -46,22 +47,27 @@ class InstanceParams:
     m: int
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            check_int64(getattr(self, f.name), f.name)
         if self.d < 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
         if self.s < 1:
             raise ValueError(f"s must be >= 1, got {self.s}")
-        if self.t != self.s ** (self.d - 1):
-            raise ValueError(f"t = {self.t} is not s**(d-1) = {self.s ** (self.d - 1)}")
+        t = _int64_power(self.s, self.d - 1)
+        if self.t != t:
+            shown = f"{self.s}**{self.d - 1} > INT64_MAX" if t is None else t
+            raise ValueError(f"t = {self.t} is not s**(d-1) = {shown}")
         if self.n < 1 or self.n % self.t != 0:
             raise ValueError(f"n = {self.n} is not a positive multiple of t = {self.t}")
         if self.A < 1 or self.B < 1:
             raise RangeTooTight(
                 f"coefficient ranges collapsed (A = {self.A}, B = {self.B})"
             )
-        if self.m != self.A ** (self.d - 1) * self.B:
-            raise ValueError(
-                f"m = {self.m} is not A**(d-1)*B = {self.A ** (self.d - 1) * self.B}"
-            )
+        power = _int64_power(self.A, self.d - 1)
+        m = None if power is None else power * self.B
+        if self.m != m:
+            shown = f"{self.A}**{self.d - 1}*{self.B} > INT64_MAX" if m is None else m
+            raise ValueError(f"m = {self.m} is not A**(d-1)*B = {shown}")
         if not self.containment_holds():
             raise RangeTooTight(
                 f"containment violated: B + (d-1)*A*s = {self.max_last_coordinate()}"
@@ -83,6 +89,15 @@ class InstanceParams:
     def pair_coverage_bound(self) -> int:
         """Max number of family hyperplanes through any two distinct points."""
         return self.A ** (self.d - 2)
+
+
+def _int64_power(base: int, exp: int) -> Optional[int]:
+    """base**exp for base >= 1, or None where it exceeds INT64_MAX for sure.
+
+    2**64 > INT64_MAX, so a base >= 2 overflows past exponent 63; deciding
+    that first keeps a crafted d from computing a power of millions of digits.
+    """
+    return None if base >= 2 and exp > 63 else base**exp
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ def params_from_dict(raw: dict) -> InstanceParams:
         raise ValueError(f"params must be an object with the fields {names}")
     try:
         return InstanceParams(**{name: int(raw[name]) for name in names})
-    except TypeError:
+    except (TypeError, OverflowError):  # OverflowError: int() of an infinite float
         raise ValueError(f"params fields {names} must be integers") from None
 
 

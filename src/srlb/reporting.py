@@ -130,7 +130,9 @@ class KdTree:
     stored order.  Node i has children 2i+1 and 2i+2, and a slice of more
     than leaf_capacity points splits at start + (end - start) // 2, so n
     and leaf_capacity fix the shape.  boxes[i] is node i's (lo, hi) as
-    Python ints, or None where the shape has no node i.
+    Python ints, or None where the shape has no node i.  The fields are
+    plain lists and tuples, so two builds over the same input compare
+    equal with ==.
     """
 
     points: list[GridPoint]
@@ -165,37 +167,80 @@ def build_kdtree(
     for a given input order.  Split invariant: on the split axis, every
     coordinate in the left subtree is <= every coordinate in the right,
     with the tie-broken index order deciding equal coordinates.
+
+    The tree is built level by level.  Every inner slice at depth l is
+    ordered by (coordinate on axis l mod d, point index), a total order on
+    its point set, so one stable sort by slice over the axis's global
+    (coordinate, index) order sorts the whole level.  The midpoint rule
+    then gives the next level's slices, and at the end each level's boxes
+    come from one min/max reduction over the ordered coordinates.  Keys
+    are never combined as slice * n + rank, which could overflow int64.
     """
     if not points:
         raise EmptyInput("cannot build a tree over zero points")
     dim = len(points[0])
-    if any(len(p) != dim for p in points):
+    if set(map(len, points)) != {dim}:
         raise DimensionMismatch("points have mixed dimensions")
     if leaf_capacity < 1:
         raise ValueError(f"leaf capacity must be >= 1, got {leaf_capacity}")
 
     coords = int64_rows(points, dim, "point coordinates")
-    order = np.arange(len(points), dtype=np.int64)
-    boxes: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    n = len(points)
+    order = np.arange(n, dtype=np.int64)
+    by_axis: dict[int, np.ndarray] = {}  # axis -> point indices in (coordinate, index) order
+    slice_of = np.empty(n, dtype=np.int64)
+    # Each level's heap numbers and [start, end) slices of order.
+    levels = [(np.zeros(1, np.int64), np.zeros(1, np.int64), np.full(1, n, np.int64))]
+    while True:
+        nodes, starts, ends = levels[-1]
+        inner = ends - starts > leaf_capacity
+        if not inner.any():
+            break
+        nodes, starts, ends = nodes[inner], starts[inner], ends[inner]
+        axis = (len(levels) - 1) % dim
+        if axis not in by_axis:
+            by_axis[axis] = np.argsort(coords[:, axis], kind="stable")
+        # Sort every inner slice at once: take the axis order, keep the
+        # points of inner slices, and group them by slice with a stable
+        # sort.  Leaf slices keep their positions.
+        sizes = ends - starts
+        shifts = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        positions = np.arange(len(shifts)) + shifts  # every inner slice's positions, in order
+        slice_of.fill(-1)
+        slice_of[order[positions]] = np.repeat(np.arange(len(sizes)), sizes)
+        ranked = by_axis[axis]
+        keys = slice_of[ranked]
+        kept = keys >= 0
+        order[positions] = ranked[kept][np.argsort(keys[kept], kind="stable")]
+        mids = starts + sizes // 2
+        levels.append((
+            np.stack((2 * nodes + 1, 2 * nodes + 2), axis=1).ravel(),
+            np.stack((starts, mids), axis=1).ravel(),
+            np.stack((mids, ends), axis=1).ravel(),
+        ))
 
-    def build(node: int, start: int, end: int, axis: int) -> None:
-        slice_idx = order[start:end]
-        block = coords[slice_idx]
-        boxes[node] = (tuple(block.min(axis=0).tolist()), tuple(block.max(axis=0).tolist()))
-        if end - start <= leaf_capacity:
-            return
-        order[start:end] = slice_idx[np.lexsort((slice_idx, block[:, axis]))]
-        mid = start + (end - start) // 2
-        build(2 * node + 1, start, mid, (axis + 1) % dim)
-        build(2 * node + 2, mid, end, (axis + 1) % dim)
-
-    build(0, 0, len(points), 0)
+    # A node's box depends only on its slice's point set, which the later
+    # levels permute but never change.  reduceat over the interleaved
+    # [start, end) bounds reduces each slice; the extra row lets an end
+    # equal n.
+    ordered = np.zeros((n + 1, dim), dtype=np.int64)
+    ordered[:n] = coords[order]
+    # The deepest level's last node has the largest heap number.
+    boxes: list[Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = [None] * (
+        int(levels[-1][0][-1]) + 1
+    )
+    for nodes, starts, ends in levels:
+        bounds = np.stack((starts, ends), axis=1).ravel()
+        lo = np.minimum.reduceat(ordered, bounds, axis=0)[::2].tolist()
+        hi = np.maximum.reduceat(ordered, bounds, axis=0)[::2].tolist()
+        for node, l, h in zip(nodes.tolist(), lo, hi):
+            boxes[node] = (tuple(l), tuple(h))
     return KdTree(
         points=list(points),
         order=order.tolist(),
         dim=dim,
         leaf_capacity=leaf_capacity,
-        boxes=[boxes.get(i) for i in range(max(boxes) + 1)],
+        boxes=boxes,
     )
 
 

@@ -155,6 +155,11 @@ class TestVerify:
             {"hyperplanes": [{"a": [1], "b": [1]}]},
             {"params": [1]},
             {"params": {"d": [2], "s": 2, "t": 2, "n": 16, "A": 2, "B": 4, "m": 8}},
+            # json.dumps writes these as the literals Infinity and -Infinity.
+            {"params": {"d": float("inf"), "s": 2, "t": 2, "n": 16, "A": 2, "B": 4, "m": 8}},
+            {"params": {"d": float("-inf"), "s": 2, "t": 2, "n": 16, "A": 2, "B": 4, "m": 8}},
+            # s**(d-1) would have millions of digits.
+            {"params": {"d": 2**24, "s": 3, "t": 3, "n": 3, "A": 1, "B": 1, "m": 1}},
         ],
     )
     def test_malformed_section_shape_exits_2(self, section, tmp_path, capsys):

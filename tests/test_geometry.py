@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -100,6 +101,22 @@ class TestNormalizeParams:
         with pytest.raises(RangeTooTight):
             # B + (d-1)*A*s = 9 + 4 > 16/2.
             InstanceParams(d=2, s=2, t=2, n=16, A=2, B=9, m=18)
+
+    @pytest.mark.parametrize("field", ["d", "s", "t", "n", "A", "B", "m"])
+    def test_field_outside_int64_rejected(self, field):
+        fields = dict(d=2, s=2, t=2, n=16, A=2, B=4, m=8)
+        fields[field] = INT64_MAX + 1
+        with pytest.raises(ArithmeticOverflow, match=f"^{field} = "):
+            InstanceParams(**fields)
+
+    @pytest.mark.parametrize("s,t,A", [(3, 3, 1), (1, 1, 3)], ids=["s_power", "A_power"])
+    def test_huge_d_rejected_without_computing_the_power(self, s, t, A):
+        # s**(d-1) or A**(d-1) would have millions of digits; past exponent
+        # 63 any base >= 2 exceeds INT64_MAX, so the check needs no power.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="> INT64_MAX"):
+            InstanceParams(d=2**24, s=s, t=t, n=3, A=A, B=1, m=1)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLargestValidRichness:

@@ -35,6 +35,12 @@ class TestParamsSchema:
         with pytest.raises(ValueError):
             params_from_dict({"d": 2, "s": 2})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_field_is_a_value_error(self, value):
+        # int() raises OverflowError on an infinite float.
+        with pytest.raises(ValueError, match="must be integers"):
+            params_from_dict({"d": value, "s": 2, "t": 2, "n": 16, "A": 2, "B": 4, "m": 8})
+
 
 class TestInstanceSchema:
     def test_full_round_trip(self, tmp_path, d2_instance):

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 
 from srlb.errors import ArithmeticOverflow, DimensionMismatch, EmptyInput
-from srlb.exact import INT64_MAX
+from srlb.exact import INT64_MAX, INT64_MIN
 from srlb.geometry import (
     Hyperplane,
     generate_hyperplanes,
     generate_points,
+    hyperplane_at,
     incident_points,
     normalize_params,
 )
@@ -477,26 +479,122 @@ def _random_query(rng, d):
     return SimplexQuery(tuple(constraints))
 
 
+def assert_matches_reference(points, leaf_capacity, queries):
+    """build_kdtree and query agree with the object-graph reference.
+
+    The tree must match in order, counters and boxes (as Python ints), and
+    every query must give the same reported points and stats.  A query
+    whose values may leave int64 must be refused by the oracle too.
+    """
+    tree = build_kdtree(points, leaf_capacity=leaf_capacity)
+    root, order, counters = reference_build_kdtree(points, leaf_capacity)
+    assert tree.order == order
+    assert (tree.node_count, tree.leaf_count, tree.depth) == (
+        counters["nodes"], counters["leaves"], counters["depth"]
+    )
+    boxes = _reference_boxes(root)
+    assert {i: box for i, box in enumerate(tree.boxes) if box is not None} == boxes
+    values = [c for lo, hi in filter(None, tree.boxes) for c in (*lo, *hi)]
+    assert all(type(c) is int for c in values)
+    for q in queries:
+        try:
+            answer = query(tree, q)
+        except ArithmeticOverflow:
+            with pytest.raises(ArithmeticOverflow):
+                brute_force_query(points, q)
+            continue
+        assert answer == reference_query(root, points, order, q)
+
+
 class TestHeapLayoutMatchesObjectGraph:
     """build_kdtree and query against the object-graph reference tree."""
 
     @pytest.mark.parametrize("leaf_capacity", [1, 2, 4, 7, 16])
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_same_tree_and_same_answers(self, d, leaf_capacity):
         rng = random.Random(1000 * d + leaf_capacity)
         for n in (1, 2, leaf_capacity + 1, rng.randint(3, 60), rng.randint(100, 300)):
             # Coordinates in [-5, 5]: negative values and many duplicates.
             points = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(n)]
-            tree = build_kdtree(points, leaf_capacity=leaf_capacity)
-            root, order, counters = reference_build_kdtree(points, leaf_capacity)
-            assert tree.order == order
-            assert (tree.node_count, tree.leaf_count, tree.depth) == (
-                counters["nodes"], counters["leaves"], counters["depth"]
-            )
-            boxes = _reference_boxes(root)
-            assert {i: box for i, box in enumerate(tree.boxes) if box is not None} == boxes
-            values = [c for lo, hi in filter(None, tree.boxes) for c in (*lo, *hi)]
-            assert all(type(c) is int for c in values)
-            for _ in range(20):
-                q = _random_query(rng, d)
-                assert query(tree, q) == reference_query(root, points, order, q)
+            queries = [_random_query(rng, d) for _ in range(20)]
+            assert_matches_reference(points, leaf_capacity, queries)
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 17])
+    @pytest.mark.parametrize("extra", [0, 1, 50])
+    def test_one_leaf_when_capacity_covers_n(self, n, extra):
+        rng = random.Random(n + extra)
+        points = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n)]
+        assert build_kdtree(points, leaf_capacity=n + extra).node_count == 1
+        queries = [_random_query(rng, 2) for _ in range(10)]
+        assert_matches_reference(points, n + extra, queries)
+
+    @pytest.mark.parametrize("leaf_capacity", [1, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_identical_points(self, d, leaf_capacity):
+        rng = random.Random(d)
+        for n in (2, 9, 64, 100):
+            points = [(3,) * d] * n
+            queries = [_random_query(rng, d) for _ in range(10)]
+            assert_matches_reference(points, leaf_capacity, queries)
+
+    @pytest.mark.parametrize("leaf_capacity", [1, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sizes_around_leaf_boundaries(self, d, leaf_capacity):
+        # n = leaf_capacity * 2**k - 1, + 0 and + 1: one point short of,
+        # at and one past a complete level of leaves.
+        rng = random.Random(10 * d + leaf_capacity)
+        for k in range(1, 8):
+            for delta in (-1, 0, 1):
+                n = leaf_capacity * 2**k + delta
+                points = [tuple(rng.randint(0, 20) for _ in range(d)) for _ in range(n)]
+                queries = [_random_query(rng, d) for _ in range(5)]
+                assert_matches_reference(points, leaf_capacity, queries)
+
+    @pytest.mark.parametrize("leaf_capacity", [1, 2, 4])
+    def test_coordinates_at_the_int64_limits(self, leaf_capacity):
+        rng = random.Random(leaf_capacity)
+        extremes = (INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX)
+        for d in (2, 3):
+            # The last axis stays small, so queries on it alone are answered.
+            points = [
+                tuple(rng.choice(extremes) for _ in range(d - 1)) + (rng.randint(-3, 3),)
+                for _ in range(rng.randint(20, 80))
+            ]
+            points[0] = (INT64_MIN,) * (d - 1) + (0,)
+            points[1] = (INT64_MAX,) * (d - 1) + (0,)
+            queries = [_random_query(rng, d) for _ in range(20)]
+            queries += [SimplexQuery((Halfspace((0,) * (d - 1) + (1,), 0, "le"),))]
+            assert_matches_reference(points, leaf_capacity, queries)
+        # Every axis at the limits: the boxes must still match.
+        for d in (1, 2):
+            points = [tuple(rng.choice(extremes) for _ in range(d)) for _ in range(200)]
+            assert_matches_reference(points, leaf_capacity, [_random_query(rng, d)])
+
+    # The benchmark's instances: the largest s keeping A >= 2.
+    @pytest.mark.parametrize(
+        "d,n,t",
+        [(2, 125, 5), (2, 256, 8), (2, 506, 11), (2, 1024, 16), (2, 2046, 22),
+         (2, 4096, 32), (3, 1000, 25)],
+    )
+    def test_benchmark_instances(self, d, n, t):
+        params = normalize_params(d, n, t)
+        assert (params.n, params.t) == (n, t) and params.A >= 2
+        rng = random.Random(n)
+        queries = [slab_query_for(hyperplane_at(params, i)) for i in range(0, params.m, 5)]
+        queries += random_simplex_queries(params, 20, rng)
+        assert_matches_reference(generate_points(params), 4, queries)
+
+
+def test_build_leaves_no_cyclic_garbage(d3_instance):
+    # Without cycles, a tree's temporaries are freed as soon as the build
+    # returns, not whenever the cyclic collector next runs.
+    _, points, _ = d3_instance
+    build_kdtree(points)
+    gc.collect()
+    gc.disable()
+    try:
+        tree = build_kdtree(points)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert tree.n == len(points)
