@@ -62,11 +62,11 @@ class FitResult:
     points_used: int
 
 
-def select_query_ids(m: int, seed: int, limit: int = MAX_QUERIES_PER_INSTANCE) -> list[int]:
-    """All hyperplane indices, or a seeded uniform sample of `limit` of them."""
-    if m <= limit:
+def select_query_ids(m: int, seed: int) -> list[int]:
+    """All hyperplane indices, or a seeded uniform sample of MAX_QUERIES_PER_INSTANCE."""
+    if m <= MAX_QUERIES_PER_INSTANCE:
         return list(range(m))
-    return sorted(random.Random(seed).sample(range(m), limit))
+    return sorted(random.Random(seed).sample(range(m), MAX_QUERIES_PER_INSTANCE))
 
 
 def aggregate_rows(per_query_rows: Sequence[dict]) -> list[dict]:
@@ -127,10 +127,19 @@ def fit_loglog(pairs: Sequence[tuple[Union[int, float], float]]) -> FitResult:
 
 
 def fit_from_rows(rows: Sequence[dict]) -> FitResult:
-    """Fit using the 'mean' aggregate rows of a stats table."""
-    pairs = [
-        (int(r["n"]), float(r["nodes_visited"]))
-        for r in rows
-        if str(r["query_id"]) == "mean"
-    ]
+    """Fit using the 'mean' aggregate rows of a stats table.
+
+    A mean row whose n or nodes_visited is not finite and positive has no
+    logarithm, so it is rejected by name rather than fitted.
+    """
+    pairs = []
+    for r in rows:
+        if str(r["query_id"]) == "mean":
+            n, visits = float(r["n"]), float(r["nodes_visited"])
+            if not (0 < n < math.inf and 0 < visits < math.inf):
+                raise ValueError(
+                    f"mean row n={r['n']}, nodes_visited={r['nodes_visited']}:"
+                    " both must be finite and positive"
+                )
+            pairs.append((int(r["n"]), visits))
     return fit_loglog(pairs)

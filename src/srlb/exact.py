@@ -57,20 +57,14 @@ def iroot(value: int, k: int) -> int:
         raise ValueError(f"iroot requires value >= 0 and k >= 1, got ({value}, {k})")
     if value in (0, 1) or k == 1:
         return value
+    if int(value).bit_length() <= k:  # 1 <= value < 2**k; never build 2**k
+        return 1
     r = round(value ** (1.0 / k))
     while r > 0 and r**k > value:
         r -= 1
     while (r + 1) ** k <= value:
         r += 1
     return r
-
-
-def as_int64_array(values, what: str) -> np.ndarray:
-    """np.asarray(..., dtype=int64) with overflow surfaced as ArithmeticOverflow."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError as exc:
-        raise ArithmeticOverflow(f"{what} exceeds the 64-bit safe envelope") from exc
 
 
 def int64_rows(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarray:

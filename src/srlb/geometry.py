@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import ArithmeticOverflow, DimensionMismatch, PointEscapesGrid, RangeTooTight
-from .exact import MAX_POINTS, check_int64, checked_dot, iroot
+from .exact import INT64_MAX, MAX_POINTS, check_int64, checked_dot, iroot
 
 # A grid point is a plain tuple of d integers; coordinate i < d-1 ranges over
 # {1..s} and the last coordinate over {1..n/t}.
@@ -156,8 +156,12 @@ def normalize_params(d: int, n_requested: int, t_requested: int) -> InstancePara
         )
     if B < 1:
         raise RangeTooTight(f"B = floor(n / (d*t)) = floor({n}/{d * t}) = 0")
-    m = check_int64(A ** (d - 1) * B, f"family size A**(d-1)*B with A={A}, B={B}")
-    return InstanceParams(d=d, s=s, t=t, n=n, A=A, B=B, m=m)
+    power = _int64_power(A, d - 1)
+    if power is None or power * B > INT64_MAX:
+        raise ArithmeticOverflow(
+            f"family size A**(d-1)*B with A={A}, B={B}, d={d} exceeds the 64-bit safe envelope"
+        )
+    return InstanceParams(d=d, s=s, t=t, n=n, A=A, B=B, m=power * B)
 
 
 def largest_valid_richness(d: int, n_requested: int) -> InstanceParams:
@@ -165,16 +169,15 @@ def largest_valid_richness(d: int, n_requested: int) -> InstanceParams:
 
     This is the operational form of choosing t = Theta(n^(1-1/d)) with the
     constant made concrete: the largest s for which A and B stay >= 1.
+    Rounding n to a multiple of t keeps A = floor(n / (d*s**d)), so A >= 1
+    exactly when s**d <= n // d; B >= 1 and containment follow.
     """
     if d < 2 or n_requested < 1:
         raise ValueError(f"need d >= 2 and n >= 1, got d={d}, n={n_requested}")
-    s = iroot(n_requested // d, d) + 1 if n_requested >= d else 1
-    while s >= 1:
-        try:
-            return normalize_params(d, n_requested, s ** (d - 1))
-        except RangeTooTight:
-            s -= 1
-    raise RangeTooTight(f"no valid richness exists for d={d}, n={n_requested}")
+    if n_requested < d:
+        raise RangeTooTight(f"no valid richness exists for d={d}, n={n_requested}")
+    s = iroot(n_requested // d, d)
+    return normalize_params(d, n_requested, s ** (d - 1))
 
 
 def generate_points(params: InstanceParams) -> list[GridPoint]:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ArithmeticOverflow, DimensionMismatch, InstanceTooLarge
-from .exact import INT64_MAX, MAX_POINTS, as_int64_array, check_int64, envelope, int64_rows
+from .exact import INT64_MAX, MAX_POINTS, check_int64, envelope, int64_rows
 from .geometry import (
     GridPoint,
     Hyperplane,
@@ -134,7 +134,7 @@ def _checked_coefficients(
     for h in hyperplanes:
         bound = sum(abs(c) * mx for c, mx in zip(h.a, max_abs)) + abs(h.b)
         check_int64(bound, f"incidence evaluation bound for {h}")
-        as_int64_array(h.a, "hyperplane coefficients")
+        int64_rows([h.a], len(max_abs), "hyperplane coefficients")
     return slopes, offsets
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput
-from .exact import as_int64_array, checked_dot, envelope, int64_rows
+from .exact import checked_dot, envelope, int64_rows
 from .geometry import GridPoint, Hyperplane, InstanceParams
 
 SENSE_LE = "le"
@@ -168,13 +168,11 @@ def build_kdtree(
     coordinate in the left subtree is <= every coordinate in the right,
     with the tie-broken index order deciding equal coordinates.
 
-    The tree is built level by level.  Every inner slice at depth l is
-    ordered by (coordinate on axis l mod d, point index), a total order on
-    its point set, so one stable sort by slice over the axis's global
-    (coordinate, index) order sorts the whole level.  The midpoint rule
-    then gives the next level's slices, and at the end each level's boxes
-    come from one min/max reduction over the ordered coordinates.  Keys
-    are never combined as slice * n + rank, which could overflow int64.
+    The tree is built level by level: one lexsort by (slice, coordinate on
+    axis l mod d, point index) orders every inner slice at depth l, the
+    midpoint rule gives the next level's slices, and at the end each
+    level's boxes come from one min/max reduction over the ordered
+    coordinates.
     """
     if not points:
         raise EmptyInput("cannot build a tree over zero points")
@@ -187,8 +185,6 @@ def build_kdtree(
     coords = int64_rows(points, dim, "point coordinates")
     n = len(points)
     order = np.arange(n, dtype=np.int64)
-    by_axis: dict[int, np.ndarray] = {}  # axis -> point indices in (coordinate, index) order
-    slice_of = np.empty(n, dtype=np.int64)
     # Each level's heap numbers and [start, end) slices of order.
     levels = [(np.zeros(1, np.int64), np.zeros(1, np.int64), np.full(1, n, np.int64))]
     while True:
@@ -198,20 +194,12 @@ def build_kdtree(
             break
         nodes, starts, ends = nodes[inner], starts[inner], ends[inner]
         axis = (len(levels) - 1) % dim
-        if axis not in by_axis:
-            by_axis[axis] = np.argsort(coords[:, axis], kind="stable")
-        # Sort every inner slice at once: take the axis order, keep the
-        # points of inner slices, and group them by slice with a stable
-        # sort.  Leaf slices keep their positions.
+        # Sort every inner slice at once; leaf slices keep their positions.
         sizes = ends - starts
-        shifts = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-        positions = np.arange(len(shifts)) + shifts  # every inner slice's positions, in order
-        slice_of.fill(-1)
-        slice_of[order[positions]] = np.repeat(np.arange(len(sizes)), sizes)
-        ranked = by_axis[axis]
-        keys = slice_of[ranked]
-        kept = keys >= 0
-        order[positions] = ranked[kept][np.argsort(keys[kept], kind="stable")]
+        slice_ids = np.repeat(np.arange(len(sizes)), sizes)
+        positions = np.arange(len(slice_ids)) + (starts - np.cumsum(sizes) + sizes)[slice_ids]
+        members = order[positions]
+        order[positions] = members[np.lexsort((members, coords[members, axis], slice_ids))]
         mids = starts + sizes // 2
         levels.append((
             np.stack((2 * nodes + 1, 2 * nodes + 2), axis=1).ravel(),
@@ -244,19 +232,17 @@ def build_kdtree(
     )
 
 
-def _int64_normals(q: SimplexQuery, max_abs: Sequence[int]) -> list[np.ndarray]:
-    """The constraints' normals as int64, once every normal . x fits int64.
+def _int64_normals(q: SimplexQuery, max_abs: Sequence[int]) -> np.ndarray:
+    """The constraints' normals as int64 rows, once every normal . x fits int64.
 
     max_abs is the largest |x_i| per axis over the points, so
     sum(|c_i| * max_abs_i) bounds each constraint's value at every point.
     query and brute_force_query both call this before anything is pruned,
     so they raise ArithmeticOverflow on the same queries.
     """
-    normals = []
     for h in q.constraints:
         checked_dot(map(abs, h.normal), max_abs)
-        normals.append(as_int64_array(h.normal, "halfspace normal"))
-    return normals
+    return int64_rows([h.normal for h in q.constraints], len(max_abs), "halfspace normal")
 
 
 def query(tree: KdTree, q: SimplexQuery) -> tuple[list[GridPoint], QueryStats]:

@@ -1,7 +1,38 @@
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
+from srlb.errors import SrlbError
 from srlb.geometry import generate_hyperplanes, generate_points, normalize_params
 from srlb.incidence import build_incidence_graph
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "srlb"
+
+
+def pytest_report_header(config):
+    """The line count of src/srlb, tracked like a benchmark (no gate)."""
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    return f"src/srlb: {lines} lines"
+
+
+@pytest.fixture
+def traced_peak():
+    """Call fn(*args); return its result (or the SrlbError it raised) and the
+    peak bytes that tracemalloc saw it allocate."""
+
+    def run(fn, *args):
+        tracemalloc.start()
+        try:
+            try:
+                result = fn(*args)
+            except SrlbError as exc:
+                result = exc
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run
 
 
 @pytest.fixture(scope="session")

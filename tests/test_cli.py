@@ -15,7 +15,7 @@ from srlb.geometry import (
     normalize_params,
 )
 from srlb.incidence import IncidenceGraph, verify_instance
-from srlb.io import instance_to_dict, load_instance, read_stats_csv
+from srlb.io import STATS_HEADER, instance_to_dict, load_instance, read_stats_csv
 
 
 def run_cli(capsys, *argv):
@@ -457,6 +457,19 @@ class TestBenchAndFit:
         assert rc == 2
         assert "3" in stderr
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("column", ["n", "nodes_visited"])
+    def test_fit_rejects_mean_row_without_a_logarithm(self, tmp_path, capsys, column, value):
+        rows = [{"n": n, "nodes_visited": n // 8} for n in (256, 1024, 4096)]
+        rows[1][column] = value
+        out = tmp_path / "stats.csv"
+        out.write_text(",".join(STATS_HEADER) + "\n" + "".join(
+            f"{r['n']},2,mean,1,{r['nodes_visited']},1,1\n" for r in rows
+        ))
+        rc, stdout, stderr = run_cli(capsys, "fit", str(out))
+        assert (rc, stdout) == (2, "")
+        assert stderr.startswith("error: mean row ") and f"{column}={value}" in stderr
+
 
 class TestBound:
     def test_planar_example(self, capsys):
@@ -489,6 +502,22 @@ class TestBound:
     def test_too_tight(self, capsys):
         rc, _, stderr = run_cli(capsys, "bound", "-d", "2", "-n", "4", "-t", "4")
         assert rc == 2
+
+    @pytest.mark.parametrize("d", [2**16, 2**20])
+    @pytest.mark.parametrize("command", ["bound", "gen"])
+    def test_huge_d_refused_without_the_power(self, tmp_path, capsys, traced_peak, command, d):
+        # A**(d-1) would have a million bits or more; the refusal names A, B
+        # and d, not the power.
+        out = tmp_path / "inst.json"
+        argv = [command, "-d", str(d), "-n", str(2**32), "-t", "1"]
+        rc, peak = traced_peak(main, argv + (["--out", str(out)] if command == "gen" else []))
+        A = 2**32 // d
+        assert (rc, capsys.readouterr()) == (2, (
+            "", f"error: family size A**(d-1)*B with A={A}, B={A}, d={d}"
+            " exceeds the 64-bit safe envelope\n"
+        ))
+        assert peak < 64 * 1024
+        assert not out.exists()
 
 
 # Exact stdout of `gen` and `bound`, recorded from the release before the

@@ -8,6 +8,7 @@ from srlb.errors import (
     DimensionMismatch,
     PointEscapesGrid,
     RangeTooTight,
+    SrlbError,
 )
 from srlb.exact import INT64_MAX, iroot
 from srlb.geometry import (
@@ -22,6 +23,10 @@ from srlb.geometry import (
     largest_valid_richness,
     normalize_params,
 )
+
+# A crafted d must be answered or refused without building a d-bit integer;
+# such an integer takes d / 8 bytes, so this also bounds the work.
+SMALL_PEAK_BYTES = 64 * 1024
 
 
 class TestIroot:
@@ -39,6 +44,13 @@ class TestIroot:
         assert iroot(10**18, 2) == 10**9
         assert iroot(10**18 - 1, 2) == 10**9 - 1
         assert iroot(2**60 - 1, 3) == 2**20 - 1
+
+    @pytest.mark.parametrize("value", [2, 3, 2**63 - 1])
+    @pytest.mark.parametrize("k", [64, 2**20, 2**24])
+    def test_huge_k_returns_one_without_the_power(self, value, k, traced_peak):
+        # (r + 1)**k with r = 1 would build a k-bit integer.
+        root, peak = traced_peak(iroot, value, k)
+        assert root == 1 and peak < SMALL_PEAK_BYTES
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -89,6 +101,22 @@ class TestNormalizeParams:
         with pytest.raises(ArithmeticOverflow):
             normalize_params(4, 2**32, 1)
 
+    @pytest.mark.parametrize("d", [64, 2**16, 2**20])
+    def test_huge_d_family_size_refused_without_the_power(self, d, traced_peak):
+        error, peak = traced_peak(normalize_params, d, 2**32, 1)
+        assert isinstance(error, ArithmeticOverflow)
+        A = B = 2**32 // d
+        assert str(error) == (
+            f"family size A**(d-1)*B with A={A}, B={B}, d={d} exceeds the 64-bit safe envelope"
+        )
+        assert peak < SMALL_PEAK_BYTES
+
+    def test_huge_d_small_request_refused_without_the_power(self, traced_peak):
+        # iroot(3, d - 1) is 1: reached without building 2**(d-1).
+        error, peak = traced_peak(normalize_params, 2**20, 10, 3)
+        assert isinstance(error, RangeTooTight)
+        assert peak < SMALL_PEAK_BYTES
+
     def test_invariants_reverified_by_type(self):
         with pytest.raises(ValueError):
             InstanceParams(d=2, s=2, t=3, n=16, A=2, B=4, m=8)
@@ -119,7 +147,37 @@ class TestNormalizeParams:
         assert time.perf_counter() - start < 1.0
 
 
+def search_largest_valid_richness(d, n_requested):
+    """The downward search the closed form replaced, kept as its reference:
+    try sides from just above iroot(n // d, d) down to 1."""
+    if d < 2 or n_requested < 1:
+        raise ValueError(f"need d >= 2 and n >= 1, got d={d}, n={n_requested}")
+    s = iroot(n_requested // d, d) + 1 if n_requested >= d else 1
+    while s >= 1:
+        try:
+            return normalize_params(d, n_requested, s ** (d - 1))
+        except RangeTooTight:
+            s -= 1
+    raise RangeTooTight(f"no valid richness exists for d={d}, n={n_requested}")
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the SrlbError it raises."""
+    try:
+        return fn(*args)
+    except SrlbError as exc:
+        return type(exc)
+
+
 class TestLargestValidRichness:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_closed_form_matches_the_search(self, d):
+        sizes = list(range(1, 4097))
+        sizes += [2**k + delta for k in range(1, 41) for delta in (-1, 0, 1)]
+        for n in sizes:
+            expected = outcome(search_largest_valid_richness, d, n)
+            assert outcome(largest_valid_richness, d, n) == expected, (d, n)
+
     @pytest.mark.parametrize("d,n,expected_s", [(2, 1024, 22), (3, 1024, 6), (4, 1024, 4)])
     def test_known_sizes(self, d, n, expected_s):
         p = largest_valid_richness(d, n)

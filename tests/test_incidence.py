@@ -11,7 +11,7 @@ from srlb.errors import (
     DimensionMismatch,
     InstanceTooLarge,
 )
-from srlb.exact import INT64_MAX, INT64_MIN, as_int64_array, check_int64, envelope
+from srlb.exact import INT64_MAX, INT64_MIN, check_int64, envelope, int64_rows
 from srlb.geometry import (
     Hyperplane,
     InstanceParams,
@@ -45,7 +45,7 @@ def naive_incidence_graph(points, hyperplanes):
             adjacency=tuple(() for _ in hyperplanes),
         )
 
-    coords = as_int64_array(points, "point coordinates")
+    coords = int64_rows(points, dims.pop(), "point coordinates")
     base, last = coords[:, :-1], coords[:, -1]
     max_abs = envelope(base)
     adjacency = []
@@ -53,7 +53,7 @@ def naive_incidence_graph(points, hyperplanes):
         # int64 matmul must not wrap, even for out-of-family hyperplanes.
         bound = sum(abs(c) * mx for c, mx in zip(h.a, max_abs)) + abs(h.b)
         check_int64(bound, f"incidence evaluation bound for {h}")
-        values = base @ as_int64_array(h.a, "hyperplane coefficients") + h.b
+        values = base @ int64_rows([h.a], len(h.a), "hyperplane coefficients")[0] + h.b
         adjacency.append(tuple(int(i) for i in np.flatnonzero(values == last)))
     return IncidenceGraph.from_rows(
         point_count=len(points),
