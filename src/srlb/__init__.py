@@ -20,11 +20,11 @@ from .errors import (
 from .geometry import (
     GridPoint,
     Hyperplane,
+    HyperplaneFamily,
     InstanceParams,
     eval_hyperplane,
     generate_hyperplanes,
     generate_points,
-    incident,
     incident_points,
     largest_valid_richness,
     normalize_params,
@@ -62,6 +62,7 @@ __all__ = [
     "GridPoint",
     "Halfspace",
     "Hyperplane",
+    "HyperplaneFamily",
     "IncidenceGraph",
     "InstanceParams",
     "InstanceTooLarge",
@@ -81,7 +82,6 @@ __all__ = [
     "fit_loglog",
     "generate_hyperplanes",
     "generate_points",
-    "incident",
     "incident_points",
     "largest_valid_richness",
     "normalize_params",

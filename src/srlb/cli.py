@@ -56,6 +56,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         leaf_capacity=args.leaf_capacity,
     )
+    rows = bench_mod.run_plan(plan)  # the pre-flight, before the file opens
     stamp = datetime.now(timezone.utc).isoformat()
     comment = (
         f"srlb bench {stamp} d={plan.d} t_rule={plan.t_rule}"
@@ -63,7 +64,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     instance_rows: list[dict] = []
     with io.StatsCsvWriter(args.out, comment=comment) as writer:
-        for params, row in bench_mod.run_plan(plan):
+        for params, row in rows:
             writer.write_rows([row])
             instance_rows.append(row)
             if row["query_id"] == "max":

@@ -14,11 +14,15 @@ the computed last coordinate inside the grid.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, Union
+
+import numpy as np
 
 from .errors import ArithmeticOverflow, DimensionMismatch, PointEscapesGrid, RangeTooTight
-from .exact import INT64_MAX, MAX_POINTS, check_int64, checked_dot, iroot
+from .exact import INT64_MAX, MAX_POINTS, check_int64, checked_dot, int64_rows, iroot
 
 # A grid point is a plain tuple of d integers; coordinate i < d-1 ranges over
 # {1..s} and the last coordinate over {1..n/t}.
@@ -118,6 +122,77 @@ class Hyperplane:
         return len(self.a) + 1
 
 
+class HyperplaneFamily(Sequence[Hyperplane]):
+    """Hyperplanes held as int64 columns: slopes (m, d-1) and offsets (m,).
+
+    A read-only sequence of Hyperplane: an int index builds one object, a
+    slice gives a family over views of the columns, and iteration builds
+    the objects from one tolist() per column.  Every coefficient is checked
+    to be >= 1 at construction, with the message Hyperplane gives for the
+    first row that is not.  The arrays are frozen in place, not copied, so
+    nothing may write to them or their bases later.  Families compare equal
+    when their columns are equal; unhashable.  HyperplaneFamily.of is the
+    one place where a sequence of Hyperplane objects becomes columns.
+    """
+
+    def __init__(self, slopes: np.ndarray, offsets: np.ndarray) -> None:
+        if not (
+            slopes.dtype == offsets.dtype == np.int64 and slopes.ndim == 2
+            and slopes.shape[1] >= 1 and offsets.shape == slopes.shape[:1]
+        ):
+            raise ValueError("need int64 slopes of shape (m, d-1), d >= 2, and offsets (m,)")
+        bad = (slopes < 1).any(axis=1) | (offsets < 1)
+        if bad.any():  # Hyperplane owns the message; it raises for this row
+            first = int(bad.argmax())
+            Hyperplane(tuple(slopes[first].tolist()), int(offsets[first]))
+        slopes.flags.writeable = offsets.flags.writeable = False
+        self.slopes, self.offsets = slopes, offsets
+
+    @classmethod
+    def of(cls, hyperplanes: Sequence[Hyperplane]) -> HyperplaneFamily:
+        """hyperplanes as a family: a family as it is, objects converted once.
+
+        The objects must share one dimension (DimensionMismatch otherwise;
+        none at all give an empty planar family), and a coefficient outside
+        int64 raises ArithmeticOverflow.
+        """
+        if isinstance(hyperplanes, cls):
+            return hyperplanes
+        dims = {h.d for h in hyperplanes} or {2}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"mixed dimensions in input: {sorted(dims)}")
+        offsets = [h.b for h in hyperplanes]
+        return cls(
+            int64_rows([h.a for h in hyperplanes], dims.pop() - 1, "hyperplane coefficients"),
+            int64_rows([offsets], len(offsets), "hyperplane offsets")[0],
+        )
+
+    @property
+    def d(self) -> int:
+        return self.slopes.shape[1] + 1
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[Hyperplane, "HyperplaneFamily"]:
+        if isinstance(index, slice):
+            return HyperplaneFamily(self.slopes[index], self.offsets[index])
+        index = operator.index(index)
+        return Hyperplane(tuple(self.slopes[index].tolist()), int(self.offsets[index]))
+
+    def __iter__(self) -> Iterator[Hyperplane]:
+        return map(Hyperplane, map(tuple, self.slopes.tolist()), self.offsets.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HyperplaneFamily):
+            return NotImplemented
+        return np.array_equal(self.slopes, other.slopes) and np.array_equal(
+            self.offsets, other.offsets
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 def normalize_params(d: int, n_requested: int, t_requested: int) -> InstanceParams:
     """Round (n, t) down to a valid parameter set and derive A, B, m.
 
@@ -186,12 +261,12 @@ def generate_points(params: InstanceParams) -> list[GridPoint]:
     return list(itertools.product(*axes))
 
 
-def generate_hyperplanes(params: InstanceParams) -> list[Hyperplane]:
+def generate_hyperplanes(params: InstanceParams) -> HyperplaneFamily:
     """All m = A**(d-1) * B family hyperplanes, lexicographic on (a, b)."""
-    coeffs = itertools.product(
-        *([range(1, params.A + 1)] * (params.d - 1) + [range(1, params.B + 1)])
-    )
-    return [Hyperplane(a=c[:-1], b=c[-1]) for c in coeffs]
+    shape = (params.A,) * (params.d - 1) + (params.B,)
+    # Row j of `coeffs` is the mixed-radix digits of j, b varying fastest.
+    coeffs = np.indices(shape, dtype=np.int64).reshape(params.d, params.m).T + 1
+    return HyperplaneFamily(np.ascontiguousarray(coeffs[:, :-1]), coeffs[:, -1].copy())
 
 
 def hyperplane_at(params: InstanceParams, index: int) -> Hyperplane:
@@ -214,13 +289,6 @@ def eval_hyperplane(h: Hyperplane, base: tuple[int, ...]) -> int:
             f"hyperplane has {len(h.a)} slope coefficients, base has {len(base)}"
         )
     return checked_dot(h.a, base, h.b)
-
-
-def incident(h: Hyperplane, p: GridPoint) -> bool:
-    """True iff p lies on h (exact integer test)."""
-    if len(p) != h.d:
-        raise DimensionMismatch(f"point has {len(p)} coords, hyperplane is {h.d}-dimensional")
-    return p[-1] == eval_hyperplane(h, p[:-1])
 
 
 def incident_points(h: Hyperplane, params: InstanceParams) -> list[GridPoint]:

@@ -25,6 +25,7 @@ from .exact import INT64_MAX, MAX_POINTS, check_int64, envelope, int64_rows
 from .geometry import (
     GridPoint,
     Hyperplane,
+    HyperplaneFamily,
     InstanceParams,
     eval_hyperplane,
     generate_hyperplanes,
@@ -105,37 +106,49 @@ class IncidenceGraph:
         return tuple(tuple(flat[lo:hi]) for lo, hi in zip(ends, ends[1:]))
 
 
+def _as_family(hyperplanes: Sequence[Hyperplane]) -> Optional[HyperplaneFamily]:
+    """HyperplaneFamily.of(hyperplanes), or None where that raises.
+
+    The callers then take the hyperplanes one at a time, so that the error
+    names the first one that does not fit.
+    """
+    try:
+        return HyperplaneFamily.of(hyperplanes)
+    except (DimensionMismatch, ArithmeticOverflow):
+        return None
+
+
+def _family_bound_fits(family: HyperplaneFamily, max_abs: Sequence[int]) -> bool:
+    """Whether sum(max|a_i| * max_abs_i) + max|b| over the family fits int64.
+
+    |b + sum(a_i * x_i)| and every partial sum stay below that bound for
+    every hyperplane of a non-empty family and every x with |x_i| <= max_abs_i.
+    """
+    bound = sum(c * mx for c, mx in zip(envelope(family.slopes), max_abs))
+    return bound + envelope(family.offsets[:, None])[0] <= INT64_MAX
+
+
 def _checked_coefficients(
+    family: Optional[HyperplaneFamily],
     hyperplanes: Sequence[Hyperplane],
-    slope_rows: Sequence[tuple[int, ...]],
     max_abs: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Slopes and offsets as int64 arrays, once no evaluation can wrap.
+    """The family's slopes and offsets, once no evaluation can wrap.
 
-    |b + sum(a_i * x_i)| and every partial sum stay below
-    sum(|a_i| * max|x_i|) + |b|.  One such bound taken over the whole
-    family (largest |a_i| per axis, largest |b|, read off the converted
-    arrays) covers every hyperplane.  Only when the conversion or that
-    bound fails is each hyperplane checked on its own, so a family that
-    fits hyperplane by hyperplane is still accepted and the error names
-    the first one that does not.
+    One bound over the whole family (_family_bound_fits) covers every
+    hyperplane.  Only when the conversion to a family (None) or that bound
+    fails is each hyperplane checked on its own, so a family that fits
+    hyperplane by hyperplane is still accepted and the error names the
+    first one that does not.
     """
-    offset_row = [h.b for h in hyperplanes]
-    try:
-        slopes = int64_rows(slope_rows, len(max_abs), "hyperplane coefficients")
-        offsets = int64_rows([offset_row], len(offset_row), "hyperplane offsets")[0]
-    except ArithmeticOverflow:
-        pass
-    else:
-        family_bound = sum(c * mx for c, mx in zip(envelope(slopes), max_abs))
-        if family_bound + envelope(offsets[:, None])[0] <= INT64_MAX:
-            return slopes, offsets
+    if family is not None and _family_bound_fits(family, max_abs):
+        return family.slopes, family.offsets
     # Raises whenever the conversion failed: some |a_i| or |b| left int64.
     for h in hyperplanes:
         bound = sum(abs(c) * mx for c, mx in zip(h.a, max_abs)) + abs(h.b)
         check_int64(bound, f"incidence evaluation bound for {h}")
         int64_rows([h.a], len(max_abs), "hyperplane coefficients")
-    return slopes, offsets
+    return family.slopes, family.offsets
 
 
 def build_incidence_graph(
@@ -144,7 +157,8 @@ def build_incidence_graph(
     """Incidence graph as an exact sort-join of hyperplane values and points.
 
     Deliberately ignores the parametric structure so it can cross-check
-    incident_points().  One stable lexsort orders the points by (base
+    incident_points().  The hyperplanes are joined as int64 columns
+    (HyperplaneFamily.of).  One stable lexsort orders the points by (base
     X_1..X_{d-1}, X_d, index); the places where the base changes group
     them into u distinct bases.  Each hyperplane is evaluated once per
     base (the predicate X_d == b + sum(a_i * X_i)), base-major, as
@@ -154,8 +168,9 @@ def build_incidence_graph(
     all n*m pairs; in the grid family u = t.  The pair-by-pair scan it
     replaced is kept in the tests as the reference.
     """
-    slope_rows = [h.a for h in hyperplanes]
-    dims = set(map(len, points)) | {len(a) + 1 for a in slope_rows}
+    family = _as_family(hyperplanes)
+    dims = {family.d} if family else {h.d for h in hyperplanes}
+    dims |= set(map(len, points))
     if len(dims) > 1:
         raise DimensionMismatch(f"mixed dimensions in input: {sorted(dims)}")
 
@@ -175,7 +190,7 @@ def build_incidence_graph(
     keys = (np.cumsum(new_base) - 1) * len(lasts) + last_rank[order]  # rising, < n**2
     # The points sharing one key form the run order[run_start : run_start + run_size].
     run_keys, run_start, run_size = np.unique(keys, return_index=True, return_counts=True)
-    slopes, offsets = _checked_coefficients(hyperplanes, slope_rows, envelope(bases))
+    slopes, offsets = _checked_coefficients(family, hyperplanes, envelope(bases))
 
     rows_per_block = max(1, INCIDENCE_BLOCK // len(bases))
     base_keys = np.arange(0, len(bases) * len(lasts), len(lasts))[:, None]
@@ -307,16 +322,30 @@ def verify_instance(doc: InstanceDocument, budget: int = DEFAULT_PAIR_BUDGET) ->
     histogram = richness_histogram(graph)
     max_common, _ = pair_coverage(graph, budget=budget)
     beta_bound = params.pair_coverage_bound()
-    top = (params.s,) * (params.d - 1)
     return {
         "richness_exact": histogram == {params.t: params.m},
         "max_pair_coverage": max_common,
         "beta_bound": beta_bound,
         "k2beta_free": max_common <= beta_bound,
-        "containment_ok": all(
-            1 <= eval_hyperplane(h, top) <= params.rows for h in hyperplanes
-        ),
+        "containment_ok": _contained_at_top_corner(hyperplanes, params),
     }
+
+
+def _contained_at_top_corner(hyperplanes: Sequence[Hyperplane], params: InstanceParams) -> bool:
+    """Whether 1 <= b + s * sum(a_i) <= n/t for every hyperplane.
+
+    The hyperplanes are evaluated in int64 at once, as a family of the
+    instance's dimension, when _family_bound_fits shows that no value can
+    wrap.  Otherwise each is evaluated in turn with eval_hyperplane, which
+    stops at the first one outside the grid and raises ArithmeticOverflow
+    naming the first that would wrap.
+    """
+    top = (params.s,) * (params.d - 1)
+    family = _as_family(hyperplanes)
+    if family and family.d == params.d and _family_bound_fits(family, top):
+        values = family.slopes @ np.array(top, dtype=np.int64) + family.offsets
+        return bool(((1 <= values) & (values <= params.rows)).all())
+    return all(1 <= eval_hyperplane(h, top) <= params.rows for h in hyperplanes)
 
 
 def bound_report(params: InstanceParams) -> dict:

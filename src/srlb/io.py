@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .exact import int64_rows
-from .geometry import GridPoint, Hyperplane, InstanceParams
+from .geometry import GridPoint, Hyperplane, HyperplaneFamily, InstanceParams
 from .reporting import QueryStats
 
 PathLike = Union[str, Path]
@@ -30,11 +30,14 @@ STATS_HEADER = ("n", "d", "query_id", "k", "nodes_visited", "leaves_scanned", "p
 
 @dataclass(frozen=True)
 class InstanceDocument:
-    """An instance as stored on disk; points/hyperplanes may be absent."""
+    """An instance as stored on disk; points/hyperplanes may be absent.
+
+    A loaded document holds its hyperplanes as a HyperplaneFamily.
+    """
 
     params: InstanceParams
     points: Optional[list[GridPoint]]
-    hyperplanes: Optional[list[Hyperplane]]
+    hyperplanes: Optional[Sequence[Hyperplane]]
 
 
 def params_to_dict(params: InstanceParams) -> dict:
@@ -56,11 +59,19 @@ def instance_to_dict(
     points: Optional[Sequence[GridPoint]] = None,
     hyperplanes: Optional[Sequence[Hyperplane]] = None,
 ) -> dict:
+    """The JSON document of an instance; absent sections are left out.
+
+    Hyperplanes are written from int64 columns (HyperplaneFamily.of), so
+    objects of mixed dimension or outside int64, which no loader would
+    accept back, raise instead of being written.
+    """
     doc: dict = {"params": params_to_dict(params)}
     if points is not None:
         doc["points"] = [list(p) for p in points]
     if hyperplanes is not None:
-        doc["hyperplanes"] = [{"a": list(h.a), "b": h.b} for h in hyperplanes]
+        family = HyperplaneFamily.of(hyperplanes)
+        rows = zip(family.slopes.tolist(), family.offsets.tolist())
+        doc["hyperplanes"] = [{"a": a, "b": b} for a, b in rows]
     return doc
 
 
@@ -92,8 +103,8 @@ def instance_from_dict(doc: dict) -> InstanceDocument:
         except KeyError as exc:
             index = next(i for i, h in enumerate(stored) if exc.args[0] not in h)
             raise ValueError(f"hyperplane {index} has no {exc.args[0]!r} key") from None
-        # Hyperplane(a, b) rejects coefficients below 1.
-        hyperplanes = list(map(Hyperplane, map(tuple, slopes.tolist()), offsets.tolist()))
+        # The family rejects coefficients below 1, as Hyperplane(a, b) does.
+        hyperplanes = HyperplaneFamily(slopes, offsets)
     return InstanceDocument(params=params, points=points, hyperplanes=hyperplanes)
 
 

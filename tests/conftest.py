@@ -10,10 +10,11 @@ from srlb.incidence import build_incidence_graph
 SRC = Path(__file__).resolve().parents[1] / "src" / "srlb"
 
 
-def pytest_report_header(config):
-    """The line count of src/srlb, tracked like a benchmark (no gate)."""
+def pytest_terminal_summary(terminalreporter):
+    """The line count of src/srlb, tracked like a benchmark (no gate); the
+    summary, unlike the header, also shows under -q."""
     lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
-    return f"src/srlb: {lines} lines"
+    terminalreporter.write_line(f"src/srlb: {lines} lines")
 
 
 @pytest.fixture

@@ -2,16 +2,18 @@ import math
 
 import pytest
 
+import srlb.bench
 from srlb.bench import (
     ExperimentPlan,
     FitResult,
     aggregate_rows,
     fit_from_rows,
     fit_loglog,
+    peak_bytes,
     run_plan,
     select_query_ids,
 )
-from srlb.errors import InsufficientData, RangeTooTight
+from srlb.errors import InstanceTooLarge, InsufficientData, RangeTooTight
 from srlb.io import stats_row
 
 
@@ -137,3 +139,29 @@ class TestRunPlan:
     def test_deterministic(self):
         plan = ExperimentPlan(d=2, sizes=(64, 256), t_rule="auto", seed=5)
         assert plan_rows(plan) == plan_rows(plan)
+
+    def test_every_size_charged_before_generation(self, monkeypatch):
+        plan = ExperimentPlan(d=2, sizes=(64, 256), t_rule="fixed:2", seed=0)
+        # fixed:2 normalizes both sizes as given; the leaf capacity of 4 leaves
+        # at most 256 // 2 = 128 leaves: 256 * 224 + 255 * 384 = 155,264 bytes.
+        cost = peak_bytes(plan.resolve_params(256), plan.leaf_capacity)
+        assert cost == 155_264
+        generated = []
+        monkeypatch.setattr(srlb.bench, "generate_points",
+                            lambda params: generated.append(params) or [])
+        monkeypatch.setattr(srlb.bench, "MEMORY_BUDGET", cost - 1)
+        with pytest.raises(InstanceTooLarge,
+                           match=f"size n = 256: .* {cost} bytes, over the budget of {cost - 1}"):
+            run_plan(plan)
+        assert generated == []
+        monkeypatch.undo()
+        monkeypatch.setattr(srlb.bench, "MEMORY_BUDGET", cost)
+        assert [row for _, row in run_plan(plan)] == plan_rows(plan)
+
+    @pytest.mark.parametrize("d,leaf_capacity", [(2, 1), (2, 4), (3, 4), (3, 8)])
+    def test_peak_bytes_bounds_the_traced_peak(self, traced_peak, d, leaf_capacity):
+        plan = ExperimentPlan(d=d, sizes=(2**12,), t_rule="auto", seed=0,
+                              leaf_capacity=leaf_capacity)
+        rows, peak = traced_peak(lambda: sum(1 for _ in run_plan(plan)))
+        assert rows > 2
+        assert peak <= peak_bytes(plan.resolve_params(2**12), leaf_capacity)

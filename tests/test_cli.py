@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import srlb.bench
 import srlb.cli
 import srlb.geometry
 import srlb.incidence
@@ -337,6 +338,7 @@ def no_generation(monkeypatch):
     for module in (srlb.geometry, srlb.incidence, srlb.cli):
         monkeypatch.setattr(module, "generate_points", refuse)
         monkeypatch.setattr(module, "generate_hyperplanes", refuse)
+    monkeypatch.setattr(srlb.bench, "generate_points", refuse)
 
 
 class TestPreflight:
@@ -469,6 +471,33 @@ class TestBenchAndFit:
         rc, stdout, stderr = run_cli(capsys, "fit", str(out))
         assert (rc, stdout) == (2, "")
         assert stderr.startswith("error: mean row ") and f"{column}={value}" in stderr
+
+    @pytest.mark.parametrize("size,n,cost", [
+        # 2**24 normalizes to 16,776,528 points; at 2**32 the points alone are
+        # 4.3e9 tuples.  4096 comes first but is not run either.
+        (2**24, 16_776_528, 10_200_128_640),
+        (2**32, 4_294_930_220, 2_611_317_573_376),
+    ])
+    def test_oversized_size_refused_before_any_row(self, tmp_path, capsys, traced_peak,
+                                                   no_generation, size, n, cost):
+        out = tmp_path / "stats.csv"
+        argv = ["bench", "-d", "2", "--sizes", f"4096,{size}", "--out", str(out)]
+        rc, peak = traced_peak(main, argv)
+        assert (rc, capsys.readouterr()) == (3, (
+            "", f"error: size n = {n}: its points and kd-tree take up to {cost} bytes,"
+            " over the budget of 1073741824\n"
+        ))
+        assert not out.exists()
+        assert peak < 64 * 1024
+
+    def test_bench_budget_boundary(self, tmp_path, capsys, monkeypatch):
+        # d = 2, n = 64 under `auto` normalizes to n = 60: at most 30 leaves,
+        # 60 * 224 + 59 * 384 = 36,096 bytes.
+        argv = ["bench", "-d", "2", "--sizes", "64", "--out", str(tmp_path / "s.csv")]
+        monkeypatch.setattr(srlb.bench, "MEMORY_BUDGET", 36_095)
+        assert run_cli(capsys, *argv)[0] == 3
+        monkeypatch.setattr(srlb.bench, "MEMORY_BUDGET", 36_096)
+        assert run_cli(capsys, *argv)[0] == 0
 
 
 class TestBound:

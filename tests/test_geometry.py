@@ -1,6 +1,7 @@
 import itertools
 import time
 
+import numpy as np
 import pytest
 
 from srlb.errors import (
@@ -13,16 +14,31 @@ from srlb.errors import (
 from srlb.exact import INT64_MAX, iroot
 from srlb.geometry import (
     Hyperplane,
+    HyperplaneFamily,
     InstanceParams,
     eval_hyperplane,
     generate_hyperplanes,
     generate_points,
     hyperplane_at,
-    incident,
     incident_points,
     largest_valid_richness,
     normalize_params,
 )
+
+def incident(h, p):
+    """True iff p lies on h (exact integer test); the scan oracles' predicate."""
+    if len(p) != h.d:
+        raise DimensionMismatch(f"point has {len(p)} coords, hyperplane is {h.d}-dimensional")
+    return p[-1] == eval_hyperplane(h, p[:-1])
+
+
+def reference_generate_hyperplanes(params):
+    """The family as a list of objects, enumerated by itertools (the oracle)."""
+    coeffs = itertools.product(
+        *([range(1, params.A + 1)] * (params.d - 1) + [range(1, params.B + 1)])
+    )
+    return [Hyperplane(a=c[:-1], b=c[-1]) for c in coeffs]
+
 
 # A crafted d must be answered or refused without building a d-bit integer;
 # such an integer takes d / 8 bytes, so this also bounds the work.
@@ -224,7 +240,7 @@ class TestGenerateHyperplanes:
     def test_planar_family_enumerated(self, d2_instance):
         _, _, hyperplanes = d2_instance
         expected = [Hyperplane(a=(a,), b=b) for a in (1, 2) for b in (1, 2, 3, 4)]
-        assert hyperplanes == expected
+        assert list(hyperplanes) == expected
 
     def test_3d_count(self, d3_instance):
         params, _, hyperplanes = d3_instance
@@ -233,13 +249,13 @@ class TestGenerateHyperplanes:
 
     def test_singleton_family(self):
         params = InstanceParams(d=2, s=1, t=1, n=2, A=1, B=1, m=1)
-        assert generate_hyperplanes(params) == [Hyperplane(a=(1,), b=1)]
+        assert list(generate_hyperplanes(params)) == [Hyperplane(a=(1,), b=1)]
 
     @pytest.mark.parametrize("d,n,t", [(2, 64, 4), (3, 96, 4)])
     def test_indexed_access_matches_enumeration(self, d, n, t):
         params = normalize_params(d, n, t)
         family = generate_hyperplanes(params)
-        assert [hyperplane_at(params, i) for i in range(params.m)] == family
+        assert [hyperplane_at(params, i) for i in range(params.m)] == list(family)
         with pytest.raises(ValueError):
             hyperplane_at(params, params.m)
 
@@ -250,6 +266,123 @@ class TestGenerateHyperplanes:
             Hyperplane(a=(0,), b=1)
         with pytest.raises(ValueError):
             Hyperplane(a=(1,), b=0)
+
+
+def _columns(rows):
+    """Slopes and offsets of (a..., b) rows as fresh int64 arrays."""
+    table = np.array(rows, dtype=np.int64)
+    return table[:, :-1].copy(), table[:, -1].copy()
+
+
+class TestHyperplaneFamily:
+    @pytest.mark.parametrize(
+        "d,n,t", [(2, 16, 2), (2, 256, 4), (3, 96, 4), (3, 2048, 16), (4, 256, 8), (5, 1024, 16)]
+    )
+    def test_equals_the_itertools_oracle(self, d, n, t):
+        params = normalize_params(d, n, t)
+        family = generate_hyperplanes(params)
+        assert isinstance(family, HyperplaneFamily)
+        assert (len(family), family.d) == (params.m, d)
+        assert family.slopes.shape == (params.m, d - 1) and family.offsets.shape == (params.m,)
+        assert list(family) == reference_generate_hyperplanes(params)
+        assert all(type(c) is int for h in family for c in (*h.a, h.b))
+
+    def test_columns_are_read_only(self, d3_instance):
+        _, _, family = d3_instance
+        for column in (family.slopes, family.offsets):
+            assert column.dtype == np.int64 and not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 5
+
+    @pytest.mark.parametrize(
+        "rows,bad",
+        [
+            ([(1, 1), (0, 2), (1, 0)], 1),
+            ([(1, 1, 1), (2, 3, 1), (2, -4, 7), (0, 0, 0)], 2),
+            ([(1, 1), (1, 1), (3, 0)], 2),
+            ([(-(2**63), 2**63 - 1)], 0),
+        ],
+    )
+    def test_first_bad_row_named_as_hyperplane_names_it(self, rows, bad):
+        with pytest.raises(ValueError) as expected:
+            Hyperplane(a=rows[bad][:-1], b=rows[bad][-1])
+        with pytest.raises(ValueError) as raised:
+            HyperplaneFamily(*_columns(rows))
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "slopes,offsets",
+        [
+            (np.ones((2, 1), dtype=np.int32), np.ones(2, dtype=np.int64)),
+            (np.ones((2, 1)), np.ones(2)),
+            (np.ones(2, dtype=np.int64), np.ones(2, dtype=np.int64)),
+            (np.ones((2, 0), dtype=np.int64), np.ones(2, dtype=np.int64)),
+            (np.ones((2, 1), dtype=np.int64), np.ones(3, dtype=np.int64)),
+            (np.ones((2, 1), dtype=np.int64), np.ones((2, 1), dtype=np.int64)),
+        ],
+        ids=["int32", "float", "1d_slopes", "no_slopes", "length_mismatch", "2d_offsets"],
+    )
+    def test_malformed_columns_rejected(self, slopes, offsets):
+        with pytest.raises(ValueError, match="need int64 slopes"):
+            HyperplaneFamily(slopes, offsets)
+
+    def test_empty_family(self):
+        family = HyperplaneFamily(np.empty((0, 2), np.int64), np.empty(0, np.int64))
+        assert (len(family), family.d, list(family)) == (0, 3, [])
+
+    def test_indexing_behaves_like_a_list(self):
+        params = normalize_params(3, 96, 4)
+        family, oracle = generate_hyperplanes(params), reference_generate_hyperplanes(params)
+        for i in (0, 1, 17, params.m - 1, -1, -params.m, np.int64(5)):
+            assert family[i] == oracle[i]
+            assert type(family[i].b) is int and all(type(c) is int for c in family[i].a)
+        for i in (params.m, -params.m - 1):
+            with pytest.raises(IndexError):
+                family[i]
+        for i in (1.0, "1", [1, 2], None):
+            with pytest.raises(TypeError):
+                family[i]
+        for cut in (slice(None), slice(3, 9), slice(None, None, -1), slice(-5, None, 2),
+                    slice(9, 3), slice(200, 300)):
+            part = family[cut]
+            assert isinstance(part, HyperplaneFamily)
+            assert list(part) == oracle[cut]
+            assert len(part) == len(oracle[cut])
+
+    def test_equality_by_columns(self, d3_instance):
+        params, _, family = d3_instance
+        assert family == generate_hyperplanes(params)
+        assert family == HyperplaneFamily(family.slopes.copy(), family.offsets.copy())
+        assert family != family[1:]
+        assert family != HyperplaneFamily(family.slopes.copy(), family.offsets[::-1].copy())
+        assert family != list(family)  # a family is not a list; compare list(family)
+        with pytest.raises(TypeError):
+            hash(family)
+
+    def test_of_converts_objects_once_and_keeps_a_family(self, d3_instance):
+        params, _, family = d3_instance
+        assert HyperplaneFamily.of(family) is family
+        converted = HyperplaneFamily.of(reference_generate_hyperplanes(params))
+        assert isinstance(converted, HyperplaneFamily) and converted == family
+        edge = [Hyperplane(a=(INT64_MAX, 1), b=INT64_MAX)]
+        assert list(HyperplaneFamily.of(edge)) == edge
+        empty = HyperplaneFamily.of([])
+        assert (len(empty), list(empty)) == (0, [])
+
+    @pytest.mark.parametrize(
+        "hyperplanes,error,message",
+        [
+            ([Hyperplane(a=(1,), b=1), Hyperplane(a=(1, 1), b=1)], DimensionMismatch,
+             r"^mixed dimensions in input: \[2, 3\]$"),
+            ([Hyperplane(a=(1,), b=1), Hyperplane(a=(2**63,), b=1)], ArithmeticOverflow,
+             "^hyperplane coefficients exceeds"),
+            ([Hyperplane(a=(1,), b=2**63)], ArithmeticOverflow, "^hyperplane offsets exceeds"),
+        ],
+        ids=["mixed_dimensions", "slope_beyond_int64", "offset_beyond_int64"],
+    )
+    def test_of_refuses_what_no_table_holds(self, hyperplanes, error, message):
+        with pytest.raises(error, match=message):
+            HyperplaneFamily.of(hyperplanes)
 
 
 class TestEvalAndIncidence:

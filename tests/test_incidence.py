@@ -10,10 +10,12 @@ from srlb.errors import (
     ArithmeticOverflow,
     DimensionMismatch,
     InstanceTooLarge,
+    SrlbError,
 )
 from srlb.exact import INT64_MAX, INT64_MIN, check_int64, envelope, int64_rows
 from srlb.geometry import (
     Hyperplane,
+    HyperplaneFamily,
     InstanceParams,
     eval_hyperplane,
     generate_hyperplanes,
@@ -383,17 +385,35 @@ def test_sort_join_in_small_blocks_matches_naive_scan(case, monkeypatch):
     _check_sort_join(case)
 
 
+def as_family(hyperplanes, d):
+    """The hyperplanes as a HyperplaneFamily of dimension d, or None when a
+    coefficient leaves int64."""
+    try:
+        slopes = np.array([h.a for h in hyperplanes], dtype=np.int64)
+        offsets = np.array([h.b for h in hyperplanes], dtype=np.int64)
+    except OverflowError:
+        return None
+    return HyperplaneFamily(slopes.reshape(len(hyperplanes), d - 1), offsets)
+
+
 def _check_sort_join(case):
     points, hyperplanes = SORT_JOIN_INPUTS[case]()
+    objects = list(hyperplanes)
+    family = as_family(objects, objects[0].d)
+    assert (family is None) == (case == "coefficient_leaves_int64")
+    # The same hyperplanes as objects and, where they fit int64, as columns.
+    inputs = [objects] if family is None else [objects, family]
     try:
-        expected = naive_incidence_graph(points, hyperplanes)
+        expected = naive_incidence_graph(points, objects)
     except ArithmeticOverflow as exc:
-        with pytest.raises(ArithmeticOverflow) as raised:
-            build_incidence_graph(points, hyperplanes)
-        assert str(raised.value) == str(exc)
-        assert str(hyperplanes[-1]) in str(exc)  # the last is the first to overflow
+        for given in inputs:
+            with pytest.raises(ArithmeticOverflow) as raised:
+                build_incidence_graph(points, given)
+            assert str(raised.value) == str(exc)
+        assert str(objects[-1]) in str(exc)  # the last is the first to overflow
         return
-    assert build_incidence_graph(points, hyperplanes) == expected
+    for given in inputs:
+        assert build_incidence_graph(points, given) == expected
     if case == "family_bound_overflows_each_fits":
         assert expected.adjacency == ((0, 2), (1, 2))
     else:
@@ -490,7 +510,7 @@ def reference_containment(hyperplanes, params):
 CONTAINMENT_CASES = {
     "family": lambda params: generate_hyperplanes(params),
     "none": lambda params: [],
-    "one_outside": lambda params: generate_hyperplanes(params) + [Hyperplane(a=(5,), b=4)],
+    "one_outside": lambda params: list(generate_hyperplanes(params)) + [Hyperplane(a=(5,), b=4)],
     "exactly_at_the_top_row": lambda params: [Hyperplane(a=(3,), b=2)],
     # Each evaluation fits int64 on its own; the family-wide bound does not.
     "family_bound_overflows_each_fits": lambda params: [
@@ -503,19 +523,37 @@ CONTAINMENT_CASES = {
     "outside_before_overflow": lambda params: [
         Hyperplane(a=(5,), b=4), Hyperplane(a=(2**62,), b=1)
     ],
+    # The family bound holds, but the last row leaves the grid.
+    "last_outside_within_bound": lambda params: [
+        Hyperplane(a=(1,), b=1), Hyperplane(a=(2**40,), b=2**40)
+    ],
+    "top_corner_exactly_int64_max": lambda params: [Hyperplane(a=(2**62 - 1,), b=1)],
+    "top_corner_one_past_int64_max": lambda params: [Hyperplane(a=(2**62 - 1,), b=2)],
+    "wrong_dimension": lambda params: [Hyperplane(a=(1, 1), b=1)],
 }
 
 
 @pytest.mark.parametrize("case", sorted(CONTAINMENT_CASES))
 def test_containment_matches_reference(case):
     params = normalize_params(2, 16, 2)
-    hyperplanes = CONTAINMENT_CASES[case](params)
+    _check_containment(params, CONTAINMENT_CASES[case](params))
+
+
+@pytest.mark.parametrize("case", sorted(CONTAINMENT_CASES))
+def test_family_containment_matches_reference(case):
+    params = normalize_params(2, 16, 2)
+    hyperplanes = list(CONTAINMENT_CASES[case](params))
+    width = hyperplanes[0].d if hyperplanes else params.d
+    _check_containment(params, as_family(hyperplanes, width))
+
+
+def _check_containment(params, hyperplanes):
     # No points: the incidence graph is empty, so only containment evaluates.
     doc = InstanceDocument(params=params, points=[], hyperplanes=hyperplanes)
     try:
-        expected = reference_containment(hyperplanes, params)
-    except ArithmeticOverflow as exc:
-        with pytest.raises(ArithmeticOverflow) as raised:
+        expected = reference_containment(list(hyperplanes), params)
+    except SrlbError as exc:
+        with pytest.raises(type(exc)) as raised:
             verify_instance(doc)
         assert str(raised.value) == str(exc)
         return

@@ -3,8 +3,14 @@ import json
 import pytest
 
 from srlb.cli import main
-from srlb.errors import ArithmeticOverflow
-from srlb.geometry import Hyperplane, normalize_params
+from srlb.errors import ArithmeticOverflow, DimensionMismatch
+from srlb.geometry import (
+    Hyperplane,
+    HyperplaneFamily,
+    generate_hyperplanes,
+    generate_points,
+    normalize_params,
+)
 from srlb.incidence import bound_report, verify_instance
 from srlb.io import (
     STATS_HEADER,
@@ -60,6 +66,36 @@ class TestInstanceSchema:
         assert doc.points is None and doc.hyperplanes is None
         full = InstanceDocument(params=params, points=points, hyperplanes=hyperplanes)
         assert verify_instance(doc) == verify_instance(full)
+
+    @pytest.mark.parametrize(
+        "d,n,t,size", [(2, 16, 2, None), (3, 96, 4, None), (3, 2048, 16, 125_742)]
+    )
+    def test_family_writes_the_json_of_its_objects(self, tmp_path, d, n, t, size):
+        # (3, 2048, 16) is the instance of the verify benchmark.
+        params = normalize_params(d, n, t)
+        points, family = generate_points(params), generate_hyperplanes(params)
+        from_family, from_objects = tmp_path / "family.json", tmp_path / "objects.json"
+        save_instance(from_family, params, points, family)
+        save_instance(from_objects, params, points, list(family))
+        assert from_family.read_bytes() == from_objects.read_bytes()
+        assert size is None or from_family.stat().st_size == size
+        loaded = load_instance(from_family)
+        assert isinstance(loaded.hyperplanes, HyperplaneFamily) and loaded.hyperplanes == family
+
+    @pytest.mark.parametrize(
+        "hyperplanes,error",
+        [
+            ([Hyperplane(a=(2**63,), b=1)], ArithmeticOverflow),
+            ([Hyperplane(a=(1,), b=1), Hyperplane(a=(1, 1), b=1)], DimensionMismatch),
+        ],
+        ids=["beyond_int64", "mixed_dimensions"],
+    )
+    def test_writer_refuses_what_no_loader_accepts(self, tmp_path, d2_instance, hyperplanes,
+                                                   error):
+        path = tmp_path / "inst.json"
+        with pytest.raises(error):
+            save_instance(path, d2_instance[0], None, hyperplanes)
+        assert not path.exists()
 
     def test_schema_shape(self, d2_instance):
         params, points, hyperplanes = d2_instance
@@ -141,15 +177,20 @@ LOADER_CASES = {
     "nan_coordinate": (D2_PARAMS, {"points": [[1, float("nan")]]}),
     "int64_extremes": (D2_PARAMS, {"points": [[-(2**63), 2**63 - 1]],
                                    "hyperplanes": [{"a": [2**63 - 1], "b": 2**63 - 1}]}),
+    "int64_extremes_below_one": (D3_PARAMS, {"hyperplanes": [
+        {"a": [1, 1], "b": 1}, {"a": [2**63 - 1, -(2**63)], "b": 1}]}),
 }
 
 
 def _outcome(load, doc):
-    """The loaded document, or the type of the exception the loader raised."""
+    """The loaded (params, points, hyperplanes as a list), or the type of the
+    exception the loader raised."""
     try:
-        return load(doc)
+        loaded = load(doc)
     except Exception as exc:  # the exception type is the outcome under test
         return type(exc)
+    hyperplanes = None if loaded.hyperplanes is None else list(loaded.hyperplanes)
+    return loaded.params, loaded.points, hyperplanes
 
 
 class TestBulkLoader:
@@ -159,11 +200,26 @@ class TestBulkLoader:
         doc = {"params": params, **sections}
         expected = _outcome(reference_instance_from_dict, doc)
         assert _outcome(instance_from_dict, doc) == expected
-        if isinstance(expected, InstanceDocument):
+        if isinstance(expected, tuple):
             loaded = instance_from_dict(doc)
+            assert loaded.hyperplanes is None or isinstance(loaded.hyperplanes, HyperplaneFamily)
             values = [c for p in loaded.points or [] for c in p]
             values += [c for h in loaded.hyperplanes or [] for c in (*h.a, h.b)]
             assert all(type(c) is int for c in values)  # equality misses numpy scalars
+
+    @pytest.mark.parametrize(
+        "case",
+        ["zero_slope", "negative_slope", "zero_offset", "negative_offset",
+         "float_truncates_below_one", "int64_extremes_below_one"],
+    )
+    def test_coefficient_below_one_message_matches_reference(self, case):
+        params, sections = LOADER_CASES[case]
+        doc = {"params": params, **sections}
+        with pytest.raises(ValueError) as expected:
+            reference_instance_from_dict(doc)
+        with pytest.raises(ValueError) as raised:
+            instance_from_dict(doc)
+        assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize(
         "sections",
