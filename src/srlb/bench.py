@@ -39,7 +39,7 @@ def peak_bytes(params: InstanceParams, leaf_capacity: int) -> int:
     points, so every leaf but a lone root keeps at least half of that.
     """
     n, d = params.n, params.d
-    leaves = max(1, n // max(1, (leaf_capacity + 1) // 2))
+    leaves = max(1, n // ((leaf_capacity + 1) // 2))
     return n * (160 + 32 * d) + (2 * leaves - 1) * (224 + 80 * d)
 
 
@@ -60,6 +60,8 @@ class ExperimentPlan:
             raise ValueError(f"sizes must be strictly increasing, got {self.sizes}")
         if self.t_rule != T_RULE_AUTO and not self.t_rule.startswith("fixed:"):
             raise ValueError(f"t rule must be 'auto' or 'fixed:<t>', got {self.t_rule!r}")
+        if self.leaf_capacity < 1:  # build_kdtree's check, before any file opens
+            raise ValueError(f"leaf capacity must be >= 1, got {self.leaf_capacity}")
         # Every (n, t) pair must normalize; surfaces RangeTooTight up front.
         for n in self.sizes:
             self.resolve_params(n)

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ArithmeticOverflow, DimensionMismatch, InstanceTooLarge
+from .errors import DimensionMismatch, InstanceTooLarge
 from .exact import INT64_MAX, MAX_POINTS, check_int64, envelope, int64_rows
 from .geometry import (
     GridPoint,
@@ -106,49 +107,21 @@ class IncidenceGraph:
         return tuple(tuple(flat[lo:hi]) for lo, hi in zip(ends, ends[1:]))
 
 
-def _as_family(hyperplanes: Sequence[Hyperplane]) -> Optional[HyperplaneFamily]:
-    """HyperplaneFamily.of(hyperplanes), or None where that raises.
+def _first_row_over(family: HyperplaneFamily, max_abs: Sequence[int]) -> int:
+    """Index of the first hyperplane whose |b| + sum(|a_i| * max_abs_i) leaves
+    int64, or len(family) when none does; the family must not be empty.
 
-    The callers then take the hyperplanes one at a time, so that the error
-    names the first one that does not fit.
-    """
-    try:
-        return HyperplaneFamily.of(hyperplanes)
-    except (DimensionMismatch, ArithmeticOverflow):
-        return None
-
-
-def _family_bound_fits(family: HyperplaneFamily, max_abs: Sequence[int]) -> bool:
-    """Whether sum(max|a_i| * max_abs_i) + max|b| over the family fits int64.
-
-    |b + sum(a_i * x_i)| and every partial sum stay below that bound for
-    every hyperplane of a non-empty family and every x with |x_i| <= max_abs_i.
+    That bound caps |b + sum(a_i * x_i)| and every partial sum for every x
+    with |x_i| <= max_abs_i.  The column envelopes settle the common case;
+    only when their bound fails are the rows summed one by one.
     """
     bound = sum(c * mx for c, mx in zip(envelope(family.slopes), max_abs))
-    return bound + envelope(family.offsets[:, None])[0] <= INT64_MAX
-
-
-def _checked_coefficients(
-    family: Optional[HyperplaneFamily],
-    hyperplanes: Sequence[Hyperplane],
-    max_abs: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The family's slopes and offsets, once no evaluation can wrap.
-
-    One bound over the whole family (_family_bound_fits) covers every
-    hyperplane.  Only when the conversion to a family (None) or that bound
-    fails is each hyperplane checked on its own, so a family that fits
-    hyperplane by hyperplane is still accepted and the error names the
-    first one that does not.
-    """
-    if family is not None and _family_bound_fits(family, max_abs):
-        return family.slopes, family.offsets
-    # Raises whenever the conversion failed: some |a_i| or |b| left int64.
-    for h in hyperplanes:
-        bound = sum(abs(c) * mx for c, mx in zip(h.a, max_abs)) + abs(h.b)
-        check_int64(bound, f"incidence evaluation bound for {h}")
-        int64_rows([h.a], len(max_abs), "hyperplane coefficients")
-    return family.slopes, family.offsets
+    if bound + envelope(family.offsets[:, None])[0] <= INT64_MAX:
+        return len(family)
+    weights = (1, *max_abs)  # coefficients are >= 1, so |c| = c
+    rows = zip(family.offsets.tolist(), *family.slopes.T.tolist())
+    over = (j for j, row in enumerate(rows) if sum(map(mul, row, weights)) > INT64_MAX)
+    return next(over, len(family))
 
 
 def build_incidence_graph(
@@ -157,24 +130,26 @@ def build_incidence_graph(
     """Incidence graph as an exact sort-join of hyperplane values and points.
 
     Deliberately ignores the parametric structure so it can cross-check
-    incident_points().  The hyperplanes are joined as int64 columns
-    (HyperplaneFamily.of).  One stable lexsort orders the points by (base
-    X_1..X_{d-1}, X_d, index); the places where the base changes group
-    them into u distinct bases.  Each hyperplane is evaluated once per
-    base (the predicate X_d == b + sum(a_i * X_i)), base-major, as
-    bases @ slopes.T + offsets, so the matched values come out grouped by
-    base, and each is matched by binary search against the points with
-    that base.  This costs O(m*u*log n + incidences) instead of testing
-    all n*m pairs; in the grid family u = t.  The pair-by-pair scan it
-    replaced is kept in the tests as the reference.
+    incident_points().  The hyperplanes are converted once with
+    HyperplaneFamily.of and joined as int64 columns; ArithmeticOverflow
+    names the first whose value could wrap (_first_row_over).  One stable
+    lexsort orders the points by (base X_1..X_{d-1}, X_d, index); the
+    places where the base changes group them into u distinct bases.  Each
+    hyperplane is evaluated once per base (the predicate X_d == b +
+    sum(a_i * X_i)), base-major, as bases @ slopes.T + offsets, so the
+    matched values come out grouped by base, and each is matched by binary
+    search against the points with that base.  This costs O(m*u*log n +
+    incidences) instead of testing all n*m pairs; in the grid family
+    u = t.  The pair-by-pair scan it replaced is kept in the tests as the
+    reference.
     """
-    family = _as_family(hyperplanes)
-    dims = {family.d} if family else {h.d for h in hyperplanes}
+    family = HyperplaneFamily.of(hyperplanes)
+    dims = {family.d} if family else set()
     dims |= set(map(len, points))
     if len(dims) > 1:
         raise DimensionMismatch(f"mixed dimensions in input: {sorted(dims)}")
 
-    n, m = len(points), len(hyperplanes)
+    n, m = len(points), len(family)
     if not n or not m:
         return IncidenceGraph.from_rows(point_count=n, hyperplane_count=m, adjacency=[()] * m)
 
@@ -190,7 +165,11 @@ def build_incidence_graph(
     keys = (np.cumsum(new_base) - 1) * len(lasts) + last_rank[order]  # rising, < n**2
     # The points sharing one key form the run order[run_start : run_start + run_size].
     run_keys, run_start, run_size = np.unique(keys, return_index=True, return_counts=True)
-    slopes, offsets = _checked_coefficients(family, hyperplanes, envelope(bases))
+    max_abs = envelope(bases)
+    over = _first_row_over(family, max_abs)
+    if over < m:
+        h = family[over]
+        check_int64(h.b + sum(map(mul, h.a, max_abs)), f"incidence evaluation bound for {h}")
 
     rows_per_block = max(1, INCIDENCE_BLOCK // len(bases))
     base_keys = np.arange(0, len(bases) * len(lasts), len(lasts))[:, None]
@@ -199,7 +178,7 @@ def build_incidence_graph(
         hi = min(lo + rows_per_block, m)
         # Base-major: row u of `values` holds every hyperplane at base u, so
         # the join keys rise from one base to the next.
-        values = bases @ slopes[lo:hi].T + offsets[lo:hi]
+        values = bases @ family.slopes[lo:hi].T + family.offsets[lo:hi]
         rank = np.minimum(np.searchsorted(lasts, values), len(lasts) - 1)
         key = base_keys + rank
         run = np.minimum(np.searchsorted(run_keys, key), len(run_keys) - 1)
@@ -306,7 +285,8 @@ def verify_instance(doc: InstanceDocument, budget: int = DEFAULT_PAIR_BUDGET) ->
     the top corner of the base.  Sections missing from the document are
     regenerated from params once check_instance_cost has admitted them;
     the sections then in hand are charged again by their actual sizes,
-    since a stored section need not match params.
+    since a stored section need not match params.  The hyperplanes are
+    converted once, and the join and the containment check share them.
     """
     params = doc.params
     check_instance_cost(params, budget)
@@ -318,7 +298,8 @@ def verify_instance(doc: InstanceDocument, budget: int = DEFAULT_PAIR_BUDGET) ->
             f"stored sections: {len(points)} points times {len(hyperplanes)}"
             f" hyperplanes = {tests}, over the budget of {budget}"
         )
-    graph = build_incidence_graph(points, hyperplanes)
+    family = HyperplaneFamily.of(hyperplanes)
+    graph = build_incidence_graph(points, family)
     histogram = richness_histogram(graph)
     max_common, _ = pair_coverage(graph, budget=budget)
     beta_bound = params.pair_coverage_bound()
@@ -327,25 +308,30 @@ def verify_instance(doc: InstanceDocument, budget: int = DEFAULT_PAIR_BUDGET) ->
         "max_pair_coverage": max_common,
         "beta_bound": beta_bound,
         "k2beta_free": max_common <= beta_bound,
-        "containment_ok": _contained_at_top_corner(hyperplanes, params),
+        "containment_ok": _contained_at_top_corner(family, params),
     }
 
 
-def _contained_at_top_corner(hyperplanes: Sequence[Hyperplane], params: InstanceParams) -> bool:
+def _contained_at_top_corner(family: HyperplaneFamily, params: InstanceParams) -> bool:
     """Whether 1 <= b + s * sum(a_i) <= n/t for every hyperplane.
 
-    The hyperplanes are evaluated in int64 at once, as a family of the
-    instance's dimension, when _family_bound_fits shows that no value can
-    wrap.  Otherwise each is evaluated in turn with eval_hyperplane, which
-    stops at the first one outside the grid and raises ArithmeticOverflow
-    naming the first that would wrap.
+    Decides as eval_hyperplane would, taking the hyperplanes in turn: the
+    rows before the first whose value could wrap (_first_row_over) are
+    evaluated at once in int64, and only if all of them lie inside the grid
+    does that row raise ArithmeticOverflow.  A family of another dimension
+    raises DimensionMismatch.
     """
+    if not family:
+        return True
     top = (params.s,) * (params.d - 1)
-    family = _as_family(hyperplanes)
-    if family and family.d == params.d and _family_bound_fits(family, top):
-        values = family.slopes @ np.array(top, dtype=np.int64) + family.offsets
-        return bool(((1 <= values) & (values <= params.rows)).all())
-    return all(1 <= eval_hyperplane(h, top) <= params.rows for h in hyperplanes)
+    if family.d != params.d:
+        eval_hyperplane(family[0], top)  # raises DimensionMismatch
+    over = _first_row_over(family, top)
+    values = family.slopes[:over] @ np.array(top, dtype=np.int64) + family.offsets[:over]
+    inside = bool(((1 <= values) & (values <= params.rows)).all())
+    if inside and over < len(family):
+        eval_hyperplane(family[over], top)  # raises ArithmeticOverflow
+    return inside
 
 
 def bound_report(params: InstanceParams) -> dict:

@@ -10,6 +10,7 @@ import srlb.geometry
 import srlb.incidence
 from srlb.cli import main
 from srlb.geometry import (
+    Hyperplane,
     generate_hyperplanes,
     generate_points,
     largest_valid_richness,
@@ -311,12 +312,16 @@ class TestVerifyRecorded:
         rc, stdout, _ = run_cli(capsys, "verify", str(path))
         assert (rc, stdout) == RECORDED_VERIFY[name]
 
-    @pytest.mark.parametrize("name", ["d3", "d2_moved_point", "d3_repeated_hyperplanes"])
+    @pytest.mark.parametrize("name", [
+        "d3", "d2_moved_point", "d3_repeated_hyperplanes", "d2_bare_params", "d3_verify_size",
+    ])
     def test_verify_never_builds_tuple_rows(self, name, tmp_path, capsys, monkeypatch):
-        def refuse(graph):
-            raise AssertionError("verify built the tuple rows of the incidence graph")
+        # Nor any Hyperplane object: the family stays int64 columns throughout.
+        def refuse(self, *args):
+            raise AssertionError(f"verify built {type(self).__name__} objects")
 
         monkeypatch.setattr(IncidenceGraph, "adjacency", property(refuse))
+        monkeypatch.setattr(Hyperplane, "__post_init__", refuse)
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(verify_fixtures()[name]))
         report = verify_instance(load_instance(path))
@@ -414,6 +419,16 @@ class TestBenchAndFit:
             "--out", str(tmp_path / "x.csv"),
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("capacity", ["0", "-1"])
+    def test_bench_refuses_leaf_capacity_below_one_before_the_file(self, tmp_path, capsys,
+                                                                    capacity):
+        out = tmp_path / "x.csv"
+        rc, stdout, stderr = run_cli(capsys, "bench", "-d", "2", "--sizes", "64",
+                                     "--leaf-capacity", capacity, "--out", str(out))
+        error = f"error: leaf capacity must be >= 1, got {capacity}\n"
+        assert (rc, stdout, stderr) == (2, "", error)
+        assert not out.exists()
 
     def test_partial_csv_flushed_on_midrun_error(self, tmp_path, capsys, monkeypatch):
         import srlb.bench as bench_mod

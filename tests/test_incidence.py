@@ -330,8 +330,16 @@ def _second_hyperplane_overflows():
 
 
 def _coefficient_leaves_int64():
-    # 2**63 cannot even be converted to int64, so the per-hyperplane scan names it.
+    # 2**63 cannot even be converted to int64: HyperplaneFamily.of refuses it
+    # before any bound is checked, while the naive scan names its bound.
     return [(2, 3), (1, 2)], [Hyperplane(a=(1,), b=1), Hyperplane(a=(2**63,), b=1)]
+
+
+def _middle_and_last_overflow():
+    # Both bounds leave int64 (|X_1| <= 2); the first over is the middle one.
+    hyperplanes = [Hyperplane(a=(1,), b=1), Hyperplane(a=(INT64_MAX,), b=1),
+                   Hyperplane(a=(1,), b=2), Hyperplane(a=(2**62,), b=5)]
+    return [(2, 3), (1, 2)], hyperplanes
 
 
 def _int64_min_base():
@@ -366,6 +374,7 @@ SORT_JOIN_INPUTS = {
     "family_bound_overflows_each_fits": _family_bound_overflows,
     "second_hyperplane_overflows": _second_hyperplane_overflows,
     "coefficient_leaves_int64": _coefficient_leaves_int64,
+    "middle_and_last_overflow": _middle_and_last_overflow,
     "int64_min_base_coordinate": _int64_min_base,
     "shuffled_d4_bases_tie_on_leading_coordinates": _bases_tie_on_leading_coordinates,
 }
@@ -406,11 +415,16 @@ def _check_sort_join(case):
     try:
         expected = naive_incidence_graph(points, objects)
     except ArithmeticOverflow as exc:
+        text = str(exc)
+        if family is None:  # refused by the conversion, which names no hyperplane
+            text = "hyperplane coefficients exceeds the 64-bit safe envelope"
         for given in inputs:
             with pytest.raises(ArithmeticOverflow) as raised:
                 build_incidence_graph(points, given)
-            assert str(raised.value) == str(exc)
-        assert str(objects[-1]) in str(exc)  # the last is the first to overflow
+            assert str(raised.value) == text
+        # The scan names the first hyperplane to overflow.
+        first = objects[1] if case == "middle_and_last_overflow" else objects[-1]
+        assert str(first) in str(exc)
         return
     for given in inputs:
         assert build_incidence_graph(points, given) == expected
@@ -522,6 +536,10 @@ CONTAINMENT_CASES = {
     # Evaluation stops at the first hyperplane outside, before the overflow.
     "outside_before_overflow": lambda params: [
         Hyperplane(a=(5,), b=4), Hyperplane(a=(2**62,), b=1)
+    ],
+    # The overflow comes first, so it raises although a later row lies outside.
+    "overflow_before_outside": lambda params: [
+        Hyperplane(a=(2**62,), b=1), Hyperplane(a=(5,), b=4)
     ],
     # The family bound holds, but the last row leaves the grid.
     "last_outside_within_bound": lambda params: [

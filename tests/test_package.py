@@ -1,5 +1,40 @@
+import ast
+from pathlib import Path
+
+import pytest
+
 import srlb
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "srlb"
 
 
 def test_every_export_resolves():
     assert [name for name in srlb.__all__ if not hasattr(srlb, name)] == []
+
+
+def imported_names(tree):
+    """The names that the module's import statements bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_import_is_used_or_exported(path):
+    # An import left behind by a deleted helper shows up here.
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(set(imported_names(tree)) - used - exported_names(tree)) == []
