@@ -7,7 +7,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .errors import InstanceTooLarge, InsufficientData
+from .errors import InsufficientData
+from .exact import charge
 from .geometry import (
     InstanceParams,
     generate_points,
@@ -24,19 +25,16 @@ MAX_QUERIES_PER_INSTANCE = 512
 
 T_RULE_AUTO = "auto"
 
-# Bytes one size may take at its peak.  peak_bytes models that peak: per
-# point its tuple, int64 row and sort keys, per kd-tree node its box of 2d
-# Python ints and the level arrays.  It bounds the tracemalloc peak of
-# run_plan from above, measured at d = 2..5, n = 2**12 to 2**17 and leaf
-# capacities 1, 4 and 8.
-MEMORY_BUDGET = 2**30
-
 
 def peak_bytes(params: InstanceParams, leaf_capacity: int) -> int:
     """Upper estimate of the bytes run_plan holds at once for one size.
 
-    A slice splits in halves only when it holds more than leaf_capacity
-    points, so every leaf but a lone root keeps at least half of that.
+    Per point its tuple, int64 row and sort keys, per kd-tree node its box
+    of 2d Python ints and the level arrays; it bounds the tracemalloc peak
+    of run_plan, measured at d = 2..5, n = 2**12 to 2**17 and leaf
+    capacities 1, 4 and 8.  A slice splits in halves only when it holds
+    more than leaf_capacity points, so every leaf but a lone root keeps at
+    least half of that.
     """
     n, d = params.n, params.d
     leaves = max(1, n // ((leaf_capacity + 1) // 2))
@@ -104,8 +102,8 @@ def aggregate_rows(per_query_rows: Sequence[dict]) -> list[dict]:
 def run_plan(plan: ExperimentPlan) -> Iterator[tuple[InstanceParams, dict]]:
     """Slab-query every (sampled) family hyperplane of each size in turn.
 
-    Each size is charged first, on the call itself: a peak_bytes over
-    MEMORY_BUDGET raises InstanceTooLarge before anything is generated.
+    Each size is charged its peak_bytes first, on the call itself: one over
+    the budget raises InstanceTooLarge before anything is generated.
     The returned iterator yields (params, row): per instance, the
     per-query rows in query-id order, then its 'mean' and 'max' rows, one
     at a time so callers can flush each row before the next query runs; a
@@ -113,12 +111,8 @@ def run_plan(plan: ExperimentPlan) -> Iterator[tuple[InstanceParams, dict]]:
     """
     instances = [plan.resolve_params(n) for n in plan.sizes]
     for params in instances:
-        cost = peak_bytes(params, plan.leaf_capacity)
-        if cost > MEMORY_BUDGET:
-            raise InstanceTooLarge(
-                f"size n = {params.n}: its points and kd-tree take up to {cost} bytes,"
-                f" over the budget of {MEMORY_BUDGET}"
-            )
+        charge(f"size n = {params.n}: its points and kd-tree",
+               peak_bytes(params, plan.leaf_capacity))
     return _slab_rows(instances, plan)
 
 

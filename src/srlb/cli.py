@@ -25,8 +25,8 @@ EXIT_BUDGET = 3
 
 def cmd_gen(args: argparse.Namespace) -> int:
     params = normalize_params(args.d, args.n, args.t)
-    # Write only instances that verify can check at its default budget.
-    incidence.check_instance_cost(params)
+    # Write only instances that verify can check.
+    incidence.charge_verify(params)
     points = generate_points(params)
     hyperplanes = generate_hyperplanes(params)
     out = Path(args.out or f"instance_d{params.d}_n{params.n}_t{params.t}.json")
@@ -41,7 +41,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = io.load_instance(args.instance)
-    report = incidence.verify_instance(doc, budget=args.budget)
+    report = incidence.verify_instance(doc)
     print(json.dumps(report))
     passed = report["richness_exact"] and report["k2beta_free"] and report["containment_ok"]
     return EXIT_OK if passed else EXIT_VALIDATION
@@ -123,10 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verify an instance file")
     verify.add_argument("instance", help="instance JSON path")
-    verify.add_argument(
-        "--budget", type=int, default=incidence.DEFAULT_PAIR_BUDGET,
-        help="work budget for each verification phase",
-    )
     verify.set_defaults(func=cmd_verify)
 
     run = sub.add_parser("bench", help="benchmark slab queries over a size sweep")

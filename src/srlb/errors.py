@@ -22,7 +22,7 @@ class PointEscapesGrid(SrlbError):
 
 
 class InstanceTooLarge(SrlbError):
-    """Work estimate for an exhaustive check exceeds the configured budget."""
+    """A phase would take more bytes or operations than exact.charge allows."""
 
 
 class EmptyInput(SrlbError):

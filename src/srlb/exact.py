@@ -1,10 +1,11 @@
-"""The int64 contract: checked scalars, row conversion, column envelope.
+"""The int64 contract and the resource budget.
 
 Python integers never wrap, but every number this package emits (JSON
 instances, CSV stats) must stay representable as a signed 64-bit value so
 downstream consumers can rely on exact arithmetic too.  These helpers make
 that envelope an explicit, testable contract, and they are the only code
-that turns rows into int64 tables or bounds a table's columns.
+that turns rows into int64 tables or bounds a table's columns.  charge is
+the only code that refuses an instance as too large.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArithmeticOverflow
+from .errors import ArithmeticOverflow, InstanceTooLarge
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -22,6 +23,20 @@ INT64_MAX = (1 << 63) - 1
 # Instances are capped well below the int64 envelope so that dot products
 # normal . x with |normal_i| <= A and coordinates <= n/t cannot overflow.
 MAX_POINTS = 1 << 32
+
+# Bytes that one phase of gen, verify or bench may hold at its peak, and
+# operations that one phase may spend.  Read only by charge.
+MEMORY_BUDGET = 2**30
+WORK_BUDGET = 10**9
+
+
+def charge(what: str, amount: int, unit: str = "bytes") -> None:
+    """Refuse `what` with InstanceTooLarge when `amount` is over its budget:
+    bytes against MEMORY_BUDGET, any other unit against WORK_BUDGET.
+    Callers charge a phase before they allocate for it."""
+    budget = MEMORY_BUDGET if unit == "bytes" else WORK_BUDGET
+    if amount > budget:
+        raise InstanceTooLarge(f"{what} take up to {amount} {unit}, over the budget of {budget}")
 
 
 def check_int64(value: int, what: str) -> int:

@@ -15,14 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InstanceTooLarge
-from .exact import INT64_MAX, MAX_POINTS, check_int64, envelope, int64_rows
+from .errors import ArithmeticOverflow, DimensionMismatch
+from .exact import INT64_MAX, MAX_POINTS, charge, check_int64, envelope, int64_rows
 from .geometry import (
     GridPoint,
     Hyperplane,
@@ -34,11 +33,13 @@ from .geometry import (
 )
 from .io import InstanceDocument
 
-DEFAULT_PAIR_BUDGET = 10**9
-
 # Most int64 hyperplane values build_incidence_graph evaluates at once
 # (a block holds at least one hyperplane).
 INCIDENCE_BLOCK = 1 << 18
+
+# Bytes the join holds per incidence: about 40 while its block is sorted,
+# 8 once joined (a 10**6-incidence block peaked at 42.7 under tracemalloc).
+INCIDENCE_BYTES = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,20 +71,6 @@ class IncidenceGraph:
         if not (row_start[1:-1] | (np.diff(indices) > 0)).all():
             raise ValueError("adjacency lists must be sorted and duplicate-free")
         indptr.flags.writeable = indices.flags.writeable = False
-
-    @classmethod
-    def from_rows(
-        cls, *, point_count: int, hyperplane_count: int, adjacency: Sequence[Sequence[int]]
-    ) -> IncidenceGraph:
-        """A graph from one sorted point-index list per hyperplane."""
-        if len(adjacency) != hyperplane_count:
-            raise ValueError(f"{len(adjacency)} rows for {hyperplane_count} hyperplanes")
-        indptr = np.cumsum([0, *map(len, adjacency)], dtype=np.int64)
-        try:
-            indices = np.fromiter(chain.from_iterable(adjacency), np.int64, int(indptr[-1]))
-        except OverflowError:
-            raise ValueError("adjacency entry out of range") from None
-        return cls(point_count=point_count, indptr=indptr, indices=indices)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IncidenceGraph):
@@ -140,8 +127,9 @@ def build_incidence_graph(
     matched values come out grouped by base, and each is matched by binary
     search against the points with that base.  This costs O(m*u*log n +
     incidences) instead of testing all n*m pairs; in the grid family
-    u = t.  The pair-by-pair scan it replaced is kept in the tests as the
-    reference.
+    u = t.  It charges the m*u evaluations once u is known, and the
+    incidences so far, INCIDENCE_BYTES each, before each block's output.
+    The pair-by-pair scan it replaced is kept in the tests as the reference.
     """
     family = HyperplaneFamily.of(hyperplanes)
     dims = {family.d} if family else set()
@@ -151,7 +139,8 @@ def build_incidence_graph(
 
     n, m = len(points), len(family)
     if not n or not m:
-        return IncidenceGraph.from_rows(point_count=n, hyperplane_count=m, adjacency=[()] * m)
+        empty = np.zeros(m + 1, dtype=np.int64)
+        return IncidenceGraph(point_count=n, indptr=empty, indices=empty[:0])
 
     coords = int64_rows(points, dims.pop(), "point coordinates")
     # X_d is only compared for equality, so the join key is (base id, rank
@@ -162,6 +151,7 @@ def build_incidence_graph(
     new_base = np.ones(n, dtype=bool)
     np.any(ordered[1:] != ordered[:-1], axis=1, out=new_base[1:])
     bases = ordered[new_base]
+    charge(f"{m} hyperplanes at {len(bases)} distinct bases", m * len(bases), "evaluations")
     keys = (np.cumsum(new_base) - 1) * len(lasts) + last_rank[order]  # rising, < n**2
     # The points sharing one key form the run order[run_start : run_start + run_size].
     run_keys, run_start, run_size = np.unique(keys, return_index=True, return_counts=True)
@@ -173,7 +163,7 @@ def build_incidence_graph(
 
     rows_per_block = max(1, INCIDENCE_BLOCK // len(bases))
     base_keys = np.arange(0, len(bases) * len(lasts), len(lasts))[:, None]
-    indices, row_lengths = [], []
+    indices, row_lengths, joined = [], [], 0
     for lo in range(0, m, rows_per_block):
         hi = min(lo + rows_per_block, m)
         # Base-major: row u of `values` holds every hyperplane at base u, so
@@ -184,6 +174,8 @@ def build_incidence_graph(
         run = np.minimum(np.searchsorted(run_keys, key), len(run_keys) - 1)
         hit = (lasts[rank] == values) & (run_keys[run] == key)
         count = np.where(hit, run_size[run], 0).ravel()
+        joined += int(count.sum())
+        charge(f"{joined} incidences", INCIDENCE_BYTES * joined)
         row = np.repeat(np.tile(np.arange(hi - lo), len(bases)), count)
         run_offset = run_start[run].ravel() - (np.cumsum(count) - count)
         point = order[np.arange(len(row)) + np.repeat(run_offset, count)]
@@ -205,35 +197,42 @@ def richness_histogram(graph: IncidenceGraph) -> dict[int, int]:
     return dict(zip(sizes.tolist(), rows_of_size.tolist()))
 
 
-def pair_coverage(
-    graph: IncidenceGraph, budget: int = DEFAULT_PAIR_BUDGET
-) -> tuple[int, Optional[tuple[int, int]]]:
+def _pair_code(n: int) -> type:
+    """The dtype of the pair codes i*n + j: uint32 while n*n fits it."""
+    return np.uint32 if n * n <= 2**32 else np.uint64
+
+
+def _pair_bytes(pairs: int, incidences: int, n: int) -> int:
+    """Peak bytes of pair_coverage: per pair its code and run arrays (!= mask,
+    flatnonzero, np.diff), per enumerated incidence its index and two codes."""
+    size = np.dtype(_pair_code(n)).itemsize
+    return pairs * (size + 25) + incidences * (8 + 2 * size)
+
+
+def pair_coverage(graph: IncidenceGraph) -> tuple[int, Optional[tuple[int, int]]]:
     """Maximum number of hyperplanes through any two distinct points.
 
     Enumerates each hyperplane's C(len, 2) incident point pairs and counts
     duplicates, which costs O(m * t^2) instead of the O(n^2 * m) point-pair
     scan; t is small by design while n^2 is not.  Rows of equal length are
-    enumerated together as one block.  Returns the max count and the
-    lexicographically smallest witness pair attaining it (None when no
-    hyperplane covers two points).
+    enumerated together as one block, after their bytes (_pair_bytes) are
+    charged.  Returns the max count and the lexicographically smallest
+    witness pair attaining it (None when no hyperplane covers two points).
     """
     lengths = np.diff(graph.indptr)
     sizes, rows_of_size = np.unique(lengths, return_counts=True)
-    cost = sum(int(size) ** 2 * int(k) for size, k in zip(sizes, rows_of_size))
-    if cost > budget:
-        raise InstanceTooLarge(
-            f"pair enumeration cost {cost} exceeds budget {budget}"
-        )
-
     n = graph.point_count
     if n > MAX_POINTS:
         # Pair codes i*n + j must fit in uint64, i.e. n**2 - 1 < 2**64.
-        raise InstanceTooLarge(f"point count {n} exceeds the {MAX_POINTS} cap")
-    code = np.uint32 if n * n <= 2**32 else np.uint64
+        raise ArithmeticOverflow(f"point count {n} exceeds the {MAX_POINTS} cap")
+    code = _pair_code(n)
     row_starts = graph.indptr[:-1]
     wide = sizes >= 2
     blocks = list(zip(sizes[wide].tolist(), rows_of_size[wide].tolist()))
-    merged = np.empty(sum(k * size * (size - 1) // 2 for size, k in blocks), code)
+    pairs = sum(k * size * (size - 1) // 2 for size, k in blocks)
+    incidences = sum(k * size for size, k in blocks)
+    charge(f"{pairs} point pairs", _pair_bytes(pairs, incidences, n))
+    merged = np.empty(pairs, code)
     if not merged.size:
         return 0, None
     end = 0
@@ -258,50 +257,45 @@ def pair_coverage(
     return int(runs[first]), (witness_code // n, witness_code % n)
 
 
-def check_instance_cost(params: InstanceParams, budget: int = DEFAULT_PAIR_BUDGET) -> None:
-    """Refuse an instance whose verification would exceed `budget`.
+def charge_verify(params: InstanceParams) -> int:
+    """Charge, and return, the bytes verify_instance may hold at once on params.
 
-    Works from the parameters alone, so it runs before anything is
-    generated.  Each phase is charged on its own: n*m, which bounds the n
-    points and m hyperplanes that gen and verify materialise (the
-    sort-join in build_incidence_graph itself costs far less than n*m
-    tests), and the m*t**2 pair-enumeration cost that pair_coverage
-    charges a t-rich family.
+    Sums each phase's peak on the family that params generate: per point
+    its tuple and the join's sort keys, per hyperplane its int64 rows (three
+    copies in np.indices) and counters, one block of the join's per-value
+    scratch, INCIDENCE_BYTES per incidence, and _pair_bytes.  It bounds the
+    tracemalloc peak of verify_instance, measured at d = 2..4, n = 2**10 to
+    2**16.  It needs nothing generated, so gen charges it too.
     """
-    costs = {
-        "incidence tests": params.n * params.m,
-        "pair enumeration cost": params.m * params.t**2,
-    }
-    over = [f"{name} {cost}" for name, cost in costs.items() if cost > budget]
-    if over:
-        raise InstanceTooLarge(f"over the budget of {budget}: {', '.join(over)}")
+    n, d, t, m = params.n, params.d, params.t, params.m
+    cost = (
+        n * (176 + 16 * d) + m * (24 * d + 32) + 104 * min(m * t, INCIDENCE_BLOCK + t)
+        + INCIDENCE_BYTES * m * t + 2**16
+        + _pair_bytes(m * t * (t - 1) // 2, m * t, n)
+    )
+    charge(f"verify of n = {n}, t = {t}, m = {m}: its points, incidences and pair codes", cost)
+    return cost
 
 
-def verify_instance(doc: InstanceDocument, budget: int = DEFAULT_PAIR_BUDGET) -> dict:
+def verify_instance(doc: InstanceDocument) -> dict:
     """Check a loaded instance against its own params; the `srlb verify` report.
 
     Richness must be exactly {t: m}, no two points may share more than
     A**(d-2) hyperplanes, and every hyperplane must stay inside the grid at
     the top corner of the base.  Sections missing from the document are
-    regenerated from params once check_instance_cost has admitted them;
-    the sections then in hand are charged again by their actual sizes,
-    since a stored section need not match params.  The hyperplanes are
-    converted once, and the join and the containment check share them.
+    regenerated from params once charge_verify has admitted them; a stored
+    section need not match params, so the join and pair_coverage charge
+    what they allocate by its actual size.  The hyperplanes are converted
+    once, and the join and the containment check share them.
     """
     params = doc.params
-    check_instance_cost(params, budget)
+    charge_verify(params)
     points = doc.points if doc.points is not None else generate_points(params)
     hyperplanes = doc.hyperplanes if doc.hyperplanes is not None else generate_hyperplanes(params)
-    tests = len(points) * len(hyperplanes)
-    if tests > budget:
-        raise InstanceTooLarge(
-            f"stored sections: {len(points)} points times {len(hyperplanes)}"
-            f" hyperplanes = {tests}, over the budget of {budget}"
-        )
     family = HyperplaneFamily.of(hyperplanes)
     graph = build_incidence_graph(points, family)
     histogram = richness_histogram(graph)
-    max_common, _ = pair_coverage(graph, budget=budget)
+    max_common, _ = pair_coverage(graph)
     beta_bound = params.pair_coverage_bound()
     return {
         "richness_exact": histogram == {params.t: params.m},

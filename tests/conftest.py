@@ -1,11 +1,13 @@
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from srlb.errors import SrlbError
 from srlb.geometry import generate_hyperplanes, generate_points, normalize_params
-from srlb.incidence import build_incidence_graph
+from srlb.incidence import IncidenceGraph, build_incidence_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "srlb"
 
@@ -15,6 +17,18 @@ def pytest_terminal_summary(terminalreporter):
     summary, unlike the header, also shows under -q."""
     lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
     terminalreporter.write_line(f"src/srlb: {lines} lines")
+
+
+def from_rows(*, point_count, hyperplane_count, adjacency):
+    """An IncidenceGraph from one sorted point-index list per hyperplane."""
+    if len(adjacency) != hyperplane_count:
+        raise ValueError(f"{len(adjacency)} rows for {hyperplane_count} hyperplanes")
+    indptr = np.cumsum([0, *map(len, adjacency)], dtype=np.int64)
+    try:
+        indices = np.fromiter(chain.from_iterable(adjacency), np.int64, int(indptr[-1]))
+    except OverflowError:
+        raise ValueError("adjacency entry out of range") from None
+    return IncidenceGraph(point_count=point_count, indptr=indptr, indices=indices)
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from conftest import from_rows
 from srlb.cli import main
 from srlb.errors import RangeTooTight
 from srlb.geometry import (
@@ -22,7 +23,6 @@ from srlb.geometry import (
     normalize_params,
 )
 from srlb.incidence import (
-    IncidenceGraph,
     build_incidence_graph,
     pair_coverage,
     richness_histogram,
@@ -201,7 +201,7 @@ def test_criterion_9_falsifiability(tmp_path, capsys):
     # Hand-built K_{2, beta} incidence graph fed straight to the verifier.
     params = normalize_params(2, 16, 2)
     beta = params.pair_coverage_bound() + 1
-    planted = IncidenceGraph.from_rows(
+    planted = from_rows(
         point_count=params.n,
         hyperplane_count=params.m,
         adjacency=tuple([(0, 1)] * beta + [()] * (params.m - beta)),

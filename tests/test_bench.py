@@ -149,13 +149,13 @@ class TestRunPlan:
         generated = []
         monkeypatch.setattr(srlb.bench, "generate_points",
                             lambda params: generated.append(params) or [])
-        monkeypatch.setattr(srlb.bench, "MEMORY_BUDGET", cost - 1)
+        monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", cost - 1)
         with pytest.raises(InstanceTooLarge,
                            match=f"size n = 256: .* {cost} bytes, over the budget of {cost - 1}"):
             run_plan(plan)
         assert generated == []
         monkeypatch.undo()
-        monkeypatch.setattr(srlb.bench, "MEMORY_BUDGET", cost)
+        monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", cost)
         assert [row for _, row in run_plan(plan)] == plan_rows(plan)
 
     @pytest.mark.parametrize("d,leaf_capacity", [(2, 1), (2, 4), (3, 4), (3, 8)])

@@ -6,6 +6,7 @@ import pytest
 
 import srlb.bench
 import srlb.cli
+import srlb.exact
 import srlb.geometry
 import srlb.incidence
 from srlb.cli import main
@@ -16,7 +17,8 @@ from srlb.geometry import (
     largest_valid_richness,
     normalize_params,
 )
-from srlb.incidence import IncidenceGraph, verify_instance
+from srlb.errors import InstanceTooLarge
+from srlb.incidence import IncidenceGraph, charge_verify, verify_instance
 from srlb.io import STATS_HEADER, instance_to_dict, load_instance, read_stats_csv
 
 
@@ -129,11 +131,6 @@ class TestVerify:
         report = last_json(stdout)
         assert report["containment_ok"] is False
         assert report["richness_exact"] is False
-
-    def test_budget_flag(self, instance_file, capsys):
-        rc, _, stderr = run_cli(capsys, "verify", str(instance_file), "--budget", "1")
-        assert rc == 3
-        assert "budget" in stderr
 
     def test_missing_file(self, tmp_path, capsys):
         rc, _, stderr = run_cli(capsys, "verify", str(tmp_path / "nope.json"))
@@ -363,27 +360,62 @@ class TestPreflight:
         assert "budget" in stderr
         assert stdout == ""
 
-    def test_verify_charges_stored_sections(self, instance_file, capsys, monkeypatch):
-        # params claim n*m = 128, but 16 points times 100,000 stored hyperplanes
-        # is 1.6e6 incidence tests.
+    def test_gen_refuses_what_verify_cannot_hold(self, tmp_path, capsys, traced_peak,
+                                                 no_generation):
+        # d = 3, t = 1225, A = 2: verify would enumerate 284 * C(1225, 2) =
+        # 212,914,800 uint64 pair codes, 1.59 GiB before the sort.
+        out = tmp_path / "big.json"
+        argv = ["gen", "-d", "3", "-n", "260925", "-t", "1225", "--out", str(out)]
+        rc, peak = traced_peak(main, argv)
+        stdout, stderr = capsys.readouterr()
+        assert (rc, stdout) == (3, "")
+        assert stderr.startswith("error: verify of n = 260925, t = 1225, m = 284:")
+        assert not out.exists()
+        assert peak < 64 * 1024
+
+    def test_verify_refuses_crafted_pairs_within_the_budget(
+        self, instance_file, capsys, traced_peak, monkeypatch
+    ):
+        # Valid params, but 100 equal points under 10,000 equal hyperplanes:
+        # 10**6 incidences and 49,500,000 pair codes, a 259 MiB peak unrefused.
+        doc = json.loads(instance_file.read_text())
+        doc["points"] = [[1, 2]] * 100
+        doc["hyperplanes"] = [{"a": [1], "b": 1}] * 10_000
+        instance_file.write_text(json.dumps(doc))
+        budget = 64 * 2**20
+        monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", budget)
+        rc, stdout, stderr = run_cli(capsys, "verify", str(instance_file))
+        assert (rc, stdout) == (3, "")
+        assert stderr.startswith("error: 49500000 point pairs take up to")
+        error, peak = traced_peak(verify_instance, load_instance(instance_file))
+        assert isinstance(error, InstanceTooLarge)
+        assert peak < budget
+
+    def test_verify_charges_stored_sections(self, instance_file, capsys, traced_peak,
+                                            monkeypatch):
+        # params claim m = 8, but 16 points meet 100,000 stored hyperplanes at
+        # 2 distinct bases: 200,000 evaluations, charged before the join's blocks.
         doc = json.loads(instance_file.read_text())
         doc["hyperplanes"] *= 12500
         assert len(doc["hyperplanes"]) == 100_000
         instance_file.write_text(json.dumps(doc))
-
-        def refuse(points, hyperplanes):
-            raise AssertionError("incidence graph built before the stored sections were charged")
-
-        monkeypatch.setattr(srlb.incidence, "build_incidence_graph", refuse)
-        rc, stdout, stderr = run_cli(capsys, "verify", str(instance_file), "--budget", "1000")
+        monkeypatch.setattr(srlb.exact, "WORK_BUDGET", 1000)
+        rc, stdout, stderr = run_cli(capsys, "verify", str(instance_file))
         assert rc == 3
         assert "budget" in stderr
         assert stdout == ""
+        error, peak = traced_peak(verify_instance, load_instance(instance_file))
+        assert isinstance(error, InstanceTooLarge)
+        assert peak < 64 * 1024
 
-    def test_budget_bounds_incidence_scan(self, instance_file, capsys):
-        # d=2, n=16: n*m = 128 point/hyperplane tests, pair cost m*t**2 = 32.
-        assert run_cli(capsys, "verify", str(instance_file), "--budget", "127")[0] == 3
-        assert run_cli(capsys, "verify", str(instance_file), "--budget", "128")[0] == 0
+    def test_budget_bounds_incidence_scan(self, instance_file, capsys, monkeypatch):
+        # d=2, n=16: the verify model is the largest byte charge of the run.
+        cost = charge_verify(load_instance(instance_file).params)
+        assert cost == 72_424
+        monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", cost - 1)
+        assert run_cli(capsys, "verify", str(instance_file))[0] == 3
+        monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", cost)
+        assert run_cli(capsys, "verify", str(instance_file))[0] == 0
 
 
 class TestBenchAndFit:
@@ -509,9 +541,9 @@ class TestBenchAndFit:
         # d = 2, n = 64 under `auto` normalizes to n = 60: at most 30 leaves,
         # 60 * 224 + 59 * 384 = 36,096 bytes.
         argv = ["bench", "-d", "2", "--sizes", "64", "--out", str(tmp_path / "s.csv")]
-        monkeypatch.setattr(srlb.bench, "MEMORY_BUDGET", 36_095)
+        monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", 36_095)
         assert run_cli(capsys, *argv)[0] == 3
-        monkeypatch.setattr(srlb.bench, "MEMORY_BUDGET", 36_096)
+        monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", 36_096)
         assert run_cli(capsys, *argv)[0] == 0
 
 

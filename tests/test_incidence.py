@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import srlb.exact
 import srlb.incidence
+from conftest import from_rows
 from srlb.errors import (
     ArithmeticOverflow,
     DimensionMismatch,
@@ -21,12 +23,14 @@ from srlb.geometry import (
     generate_hyperplanes,
     generate_points,
     incident_points,
+    largest_valid_richness,
     normalize_params,
 )
 from srlb.incidence import (
     IncidenceGraph,
     bound_report,
     build_incidence_graph,
+    charge_verify,
     pair_coverage,
     richness_histogram,
     verify_instance,
@@ -41,7 +45,7 @@ def naive_incidence_graph(points, hyperplanes):
         raise DimensionMismatch(f"mixed dimensions in input: {sorted(dims)}")
 
     if not points or not hyperplanes:
-        return IncidenceGraph.from_rows(
+        return from_rows(
             point_count=len(points),
             hyperplane_count=len(hyperplanes),
             adjacency=tuple(() for _ in hyperplanes),
@@ -57,7 +61,7 @@ def naive_incidence_graph(points, hyperplanes):
         check_int64(bound, f"incidence evaluation bound for {h}")
         values = base @ int64_rows([h.a], len(h.a), "hyperplane coefficients")[0] + h.b
         adjacency.append(tuple(int(i) for i in np.flatnonzero(values == last)))
-    return IncidenceGraph.from_rows(
+    return from_rows(
         point_count=len(points),
         hyperplane_count=len(hyperplanes),
         adjacency=tuple(adjacency),
@@ -118,11 +122,11 @@ class TestBuildIncidenceGraph:
 
     def test_graph_validation(self):
         with pytest.raises(ValueError):
-            IncidenceGraph.from_rows(point_count=2, hyperplane_count=1, adjacency=((0, 2),))
+            from_rows(point_count=2, hyperplane_count=1, adjacency=((0, 2),))
         with pytest.raises(ValueError):
-            IncidenceGraph.from_rows(point_count=3, hyperplane_count=1, adjacency=((1, 0),))
+            from_rows(point_count=3, hyperplane_count=1, adjacency=((1, 0),))
         with pytest.raises(ValueError):
-            IncidenceGraph.from_rows(point_count=3, hyperplane_count=2, adjacency=((0,),))
+            from_rows(point_count=3, hyperplane_count=2, adjacency=((0,),))
 
     @pytest.mark.parametrize(
         "adjacency,valid",
@@ -139,7 +143,7 @@ class TestBuildIncidenceGraph:
     )
     def test_graph_validation_row_boundaries(self, adjacency, valid):
         def make():
-            return IncidenceGraph.from_rows(
+            return from_rows(
                 point_count=3, hyperplane_count=len(adjacency), adjacency=adjacency
             )
 
@@ -211,18 +215,18 @@ class TestCsrGraph:
         ],
     )
     def test_from_rows_round_trip(self, point_count, adjacency):
-        graph = IncidenceGraph.from_rows(
+        graph = from_rows(
             point_count=point_count, hyperplane_count=len(adjacency), adjacency=adjacency
         )
         assert graph.adjacency == adjacency
         assert graph.indptr.dtype == graph.indices.dtype == np.int64
-        again = IncidenceGraph.from_rows(
+        again = from_rows(
             point_count=point_count,
             hyperplane_count=graph.hyperplane_count,
             adjacency=graph.adjacency,
         )
         assert again == graph
-        assert again != IncidenceGraph.from_rows(
+        assert again != from_rows(
             point_count=point_count + 1,
             hyperplane_count=graph.hyperplane_count,
             adjacency=graph.adjacency,
@@ -230,7 +234,7 @@ class TestCsrGraph:
 
     def test_built_graph_round_trips(self, d3_graph):
         _, graph = d3_graph
-        again = IncidenceGraph.from_rows(
+        again = from_rows(
             point_count=graph.point_count,
             hyperplane_count=graph.hyperplane_count,
             adjacency=graph.adjacency,
@@ -471,21 +475,22 @@ class TestPairCoverage:
         assert witness is not None
 
     def test_single_hyperplane(self):
-        graph = IncidenceGraph.from_rows(
+        graph = from_rows(
             point_count=3, hyperplane_count=1, adjacency=((0, 1, 2),)
         )
         assert pair_coverage(graph) == (1, (0, 1))
 
     def test_no_pairs(self):
-        graph = IncidenceGraph.from_rows(
+        graph = from_rows(
             point_count=3, hyperplane_count=2, adjacency=((0,), ())
         )
         assert pair_coverage(graph) == (0, None)
 
-    def test_budget(self, d2_graph):
+    def test_budget(self, d2_graph, monkeypatch):
         _, graph = d2_graph
+        monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", 1)
         with pytest.raises(InstanceTooLarge):
-            pair_coverage(graph, budget=1)
+            pair_coverage(graph)
 
     @pytest.mark.parametrize("d,n,t", [(2, 16, 2), (2, 128, 8), (3, 96, 4)])
     def test_matches_naive_reference(self, d, n, t):
@@ -509,10 +514,33 @@ class TestPairCoverage:
                    (big - 3, big - 2), (7, big - 1), ())),
         ]
         for n, adjacency in cases:
-            graph = IncidenceGraph.from_rows(
+            graph = from_rows(
                 point_count=n, hyperplane_count=len(adjacency), adjacency=adjacency
             )
             assert pair_coverage(graph) == naive_pair_coverage(graph), adjacency
+
+
+@pytest.mark.parametrize("d,n,t,stored", [
+    (2, 2**10, "auto", False), (2, 2**14, "auto", False),
+    (3, 2**10, "auto", False), (3, 2**14, "auto", False),
+    (4, 2**10, "auto", False), (4, 2**14, "auto", False),
+    (2, 2**12, 16, False), (2, 2**14, 64, False),  # A = 8 and 2
+    (3, 2**11, 16, False), (3, 2**12, 36, False),  # A = 10 and 6
+    (4, 2**12, 64, False),  # A = 4
+    (2, 65800, "auto", False),  # n = 65,703: uint64 pair codes
+    (3, 2**11, 16, True),  # stored sections, five points repeated
+])
+def test_charge_verify_bounds_the_traced_peak(traced_peak, d, n, t, stored):
+    params = largest_valid_richness(d, n) if t == "auto" else normalize_params(d, n, t)
+    doc = InstanceDocument(params=params, points=None, hyperplanes=None)
+    if stored:
+        points = generate_points(params)
+        points += points[:5]
+        random.Random(17).shuffle(points)
+        doc = InstanceDocument(params, points, generate_hyperplanes(params))
+    report, peak = traced_peak(verify_instance, doc)
+    assert report["richness_exact"] is not stored
+    assert peak <= charge_verify(params)
 
 
 def reference_containment(hyperplanes, params):

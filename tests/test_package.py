@@ -38,3 +38,38 @@ def test_every_import_is_used_or_exported(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used - exported_names(tree)) == []
+
+
+def names_in(node):
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def is_budget(name):
+    return "BUDGET" in name and not name.startswith("EXIT_")  # an exit status, not an amount
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_one_owner_of_the_resource_budget(path):
+    # exact.charge alone raises InstanceTooLarge and reads the budget
+    # constants, which exact alone defines; every other module charges.
+    tree = ast.parse(path.read_text())
+    raised = [name for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc
+              for name in names_in(node.exc) if name == "InstanceTooLarge"]
+    defined = [target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               for target in node.targets if isinstance(target, ast.Name) and is_budget(target.id)]
+    charge = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "charge" and path.name == "exact.py"]
+    read_outside_charge = [
+        name for node in tree.body if node not in charge and not isinstance(node, ast.Assign)
+        for name in names_in(node) if is_budget(name)
+    ]
+    if path.name == "exact.py":
+        assert (len(raised), defined) == (1, ["MEMORY_BUDGET", "WORK_BUDGET"])
+        assert sorted(set(names_in(charge[0])) & set(defined)) == defined
+    else:
+        assert (raised, defined) == ([], [])
+    assert read_outside_charge == []
