@@ -41,6 +41,10 @@ INCIDENCE_BLOCK = 1 << 18
 # 8 once joined (a 10**6-incidence block peaked at 42.7 under tracemalloc).
 INCIDENCE_BYTES = 48
 
+# Bytes of the join's per-value scratch (values, rank, key, run, hit, count)
+# while a block is evaluated.
+BLOCK_VALUE_BYTES = 104
+
 
 @dataclass(frozen=True, eq=False)
 class IncidenceGraph:
@@ -127,8 +131,9 @@ def build_incidence_graph(
     matched values come out grouped by base, and each is matched by binary
     search against the points with that base.  This costs O(m*u*log n +
     incidences) instead of testing all n*m pairs; in the grid family
-    u = t.  It charges the m*u evaluations once u is known, and the
-    incidences so far, INCIDENCE_BYTES each, before each block's output.
+    u = t.  Once u is known it charges the m*u evaluations and the first
+    block's scratch, BLOCK_VALUE_BYTES per value, and before each block's
+    output the incidences so far, INCIDENCE_BYTES each.
     The pair-by-pair scan it replaced is kept in the tests as the reference.
     """
     family = HyperplaneFamily.of(hyperplanes)
@@ -162,6 +167,8 @@ def build_incidence_graph(
         check_int64(h.b + sum(map(mul, h.a, max_abs)), f"incidence evaluation bound for {h}")
 
     rows_per_block = max(1, INCIDENCE_BLOCK // len(bases))
+    block_values = min(rows_per_block, m) * len(bases)
+    charge(f"join blocks of {block_values} values", BLOCK_VALUE_BYTES * block_values)
     base_keys = np.arange(0, len(bases) * len(lasts), len(lasts))[:, None]
     indices, row_lengths, joined = [], [], 0
     for lo in range(0, m, rows_per_block):
@@ -269,8 +276,8 @@ def charge_verify(params: InstanceParams) -> int:
     """
     n, d, t, m = params.n, params.d, params.t, params.m
     cost = (
-        n * (176 + 16 * d) + m * (24 * d + 32) + 104 * min(m * t, INCIDENCE_BLOCK + t)
-        + INCIDENCE_BYTES * m * t + 2**16
+        n * (176 + 16 * d) + m * (24 * d + 32)
+        + BLOCK_VALUE_BYTES * min(m * t, INCIDENCE_BLOCK + t) + INCIDENCE_BYTES * m * t + 2**16
         + _pair_bytes(m * t * (t - 1) // 2, m * t, n)
     )
     charge(f"verify of n = {n}, t = {t}, m = {m}: its points, incidences and pair codes", cost)

@@ -19,11 +19,14 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .exact import int64_rows
 from .geometry import GridPoint, Hyperplane, HyperplaneFamily, InstanceParams
 from .reporting import QueryStats
 
 PathLike = Union[str, Path]
+WRITE_BLOCK = 1 << 16  # rows that save_instance formats with one %
 
 STATS_HEADER = ("n", "d", "query_id", "k", "nodes_visited", "leaves_scanned", "points_tested")
 
@@ -52,27 +55,6 @@ def params_from_dict(raw: dict) -> InstanceParams:
         return InstanceParams(**{name: int(raw[name]) for name in names})
     except (TypeError, OverflowError):  # OverflowError: int() of an infinite float
         raise ValueError(f"params fields {names} must be integers") from None
-
-
-def instance_to_dict(
-    params: InstanceParams,
-    points: Optional[Sequence[GridPoint]] = None,
-    hyperplanes: Optional[Sequence[Hyperplane]] = None,
-) -> dict:
-    """The JSON document of an instance; absent sections are left out.
-
-    Hyperplanes are written from int64 columns (HyperplaneFamily.of), so
-    objects of mixed dimension or outside int64, which no loader would
-    accept back, raise instead of being written.
-    """
-    doc: dict = {"params": params_to_dict(params)}
-    if points is not None:
-        doc["points"] = [list(p) for p in points]
-    if hyperplanes is not None:
-        family = HyperplaneFamily.of(hyperplanes)
-        rows = zip(family.slopes.tolist(), family.offsets.tolist())
-        doc["hyperplanes"] = [{"a": a, "b": b} for a, b in rows]
-    return doc
 
 
 def instance_from_dict(doc: dict) -> InstanceDocument:
@@ -109,12 +91,30 @@ def instance_from_dict(doc: dict) -> InstanceDocument:
 
 
 def save_instance(
-    path: PathLike,
-    params: InstanceParams,
-    points: Optional[Sequence[GridPoint]] = None,
+    path: PathLike, params: InstanceParams, points: Optional[Sequence[GridPoint]] = None,
     hyperplanes: Optional[Sequence[Hyperplane]] = None,
 ) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(params, points, hyperplanes)))
+    """Write json.dumps's bytes for the document from int64 tables, WRITE_BLOCK rows
+    per %.  Rows no loader takes back raise before the file opens, leaving none."""
+    sections = {}  # key -> (a row of zeros, the int64 table of the rows)
+    if points is not None:
+        sections["points"] = ([0] * params.d, int64_rows(points, params.d, "point coordinates"))
+    if hyperplanes is not None:
+        family = HyperplaneFamily.of(hyperplanes)
+        if len(family) and family.d != params.d:
+            raise ValueError(f"hyperplanes of d = {family.d} in an instance of d = {params.d}")
+        table = np.column_stack((family.slopes, family.offsets))
+        sections["hyperplanes"] = ({"a": [0] * (params.d - 1), "b": 0}, table)
+    with open(path, "w") as fh:
+        fh.write('{"params": ' + json.dumps(params_to_dict(params)))
+        for key, (zeros, table) in sections.items():
+            row = json.dumps(zeros).replace("0", "%d")  # as json.dumps writes a row
+            fh.write(f', "{key}": [')
+            for i, rows in enumerate(np.split(table, range(WRITE_BLOCK, len(table), WRITE_BLOCK))):
+                text = ", ".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+                fh.write(", " + text if i else text)
+            fh.write("]")
+        fh.write("}")
 
 
 def load_instance(path: PathLike) -> InstanceDocument:

@@ -8,6 +8,7 @@ import pytest
 from srlb.errors import SrlbError
 from srlb.geometry import generate_hyperplanes, generate_points, normalize_params
 from srlb.incidence import IncidenceGraph, build_incidence_graph
+from srlb.io import params_to_dict
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "srlb"
 
@@ -29,6 +30,17 @@ def from_rows(*, point_count, hyperplane_count, adjacency):
     except OverflowError:
         raise ValueError("adjacency entry out of range") from None
     return IncidenceGraph(point_count=point_count, indptr=indptr, indices=indices)
+
+
+def reference_instance_to_dict(params, points=None, hyperplanes=None):
+    """The JSON document of an instance, absent sections left out, built
+    object by object: json.dumps of it is the byte oracle of io.save_instance."""
+    doc = {"params": params_to_dict(params)}
+    if points is not None:
+        doc["points"] = [list(p) for p in points]
+    if hyperplanes is not None:
+        doc["hyperplanes"] = [{"a": list(h.a), "b": h.b} for h in hyperplanes]
+    return doc
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import srlb.cli
 import srlb.exact
 import srlb.geometry
 import srlb.incidence
+from conftest import reference_instance_to_dict
 from srlb.cli import main
 from srlb.geometry import (
     Hyperplane,
@@ -19,7 +20,7 @@ from srlb.geometry import (
 )
 from srlb.errors import InstanceTooLarge
 from srlb.incidence import IncidenceGraph, charge_verify, verify_instance
-from srlb.io import STATS_HEADER, instance_to_dict, load_instance, read_stats_csv
+from srlb.io import STATS_HEADER, load_instance, read_stats_csv
 
 
 def run_cli(capsys, *argv):
@@ -183,7 +184,8 @@ def verify_fixtures():
     """
     def family(d, n, t):
         params = normalize_params(d, n, t)
-        return instance_to_dict(params, generate_points(params), generate_hyperplanes(params))
+        points, hyperplanes = generate_points(params), generate_hyperplanes(params)
+        return reference_instance_to_dict(params, points, hyperplanes)
 
     d2, d3 = family(2, 16, 2), family(3, 96, 4)
     cases = {"d2": d2, "d3": d3, "d3_verify_size": family(3, 2048, 16)}
@@ -407,6 +409,21 @@ class TestPreflight:
         error, peak = traced_peak(verify_instance, load_instance(instance_file))
         assert isinstance(error, InstanceTooLarge)
         assert peak < 64 * 1024
+
+    def test_join_charges_its_block_scratch_first(self, instance_file, capsys, traced_peak,
+                                                  monkeypatch):
+        # The stored sections above: the join's first block holds 200,000
+        # values, whose scratch (104 bytes each) is charged before it exists.
+        doc = json.loads(instance_file.read_text())
+        doc["hyperplanes"] *= 12500
+        instance_file.write_text(json.dumps(doc))
+        monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", 2**20)
+        rc, stdout, stderr = run_cli(capsys, "verify", str(instance_file))
+        assert (rc, stdout) == (3, "")
+        assert stderr.startswith("error: join blocks of 200000 values take up to 20800000 bytes")
+        error, peak = traced_peak(verify_instance, load_instance(instance_file))
+        assert isinstance(error, InstanceTooLarge)
+        assert peak < 2**20  # the copies of one column (envelope), not a block
 
     def test_budget_bounds_incidence_scan(self, instance_file, capsys, monkeypatch):
         # d=2, n=16: the verify model is the largest byte charge of the run.

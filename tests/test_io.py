@@ -1,9 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
+import srlb.io
+from conftest import reference_instance_to_dict
 from srlb.cli import main
 from srlb.errors import ArithmeticOverflow, DimensionMismatch
+from srlb.exact import INT64_MAX, INT64_MIN
 from srlb.geometry import (
     Hyperplane,
     HyperplaneFamily,
@@ -11,14 +15,13 @@ from srlb.geometry import (
     generate_points,
     normalize_params,
 )
-from srlb.incidence import bound_report, verify_instance
+from srlb.incidence import bound_report, charge_verify, verify_instance
 from srlb.io import (
     STATS_HEADER,
     InstanceDocument,
     StatsCsvWriter,
     format_stat,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
     params_from_dict,
     params_to_dict,
@@ -68,7 +71,9 @@ class TestInstanceSchema:
         assert verify_instance(doc) == verify_instance(full)
 
     @pytest.mark.parametrize(
-        "d,n,t,size", [(2, 16, 2, None), (3, 96, 4, None), (3, 2048, 16, 125_742)]
+        "d,n,t,size",
+        [(2, 16, 2, None), (3, 96, 4, None), (3, 2048, 16, 125_742), (4, 4096, 64, 88_041),
+         (5, 320, 16, None)],
     )
     def test_family_writes_the_json_of_its_objects(self, tmp_path, d, n, t, size):
         # (3, 2048, 16) is the instance of the verify benchmark.
@@ -77,42 +82,51 @@ class TestInstanceSchema:
         from_family, from_objects = tmp_path / "family.json", tmp_path / "objects.json"
         save_instance(from_family, params, points, family)
         save_instance(from_objects, params, points, list(family))
-        assert from_family.read_bytes() == from_objects.read_bytes()
+        expected = json.dumps(reference_instance_to_dict(params, points, family)).encode()
+        assert from_family.read_bytes() == from_objects.read_bytes() == expected
         assert size is None or from_family.stat().st_size == size
         loaded = load_instance(from_family)
         assert isinstance(loaded.hyperplanes, HyperplaneFamily) and loaded.hyperplanes == family
 
     @pytest.mark.parametrize(
-        "hyperplanes,error",
+        "points,hyperplanes,error",
         [
-            ([Hyperplane(a=(2**63,), b=1)], ArithmeticOverflow),
-            ([Hyperplane(a=(1,), b=1), Hyperplane(a=(1, 1), b=1)], DimensionMismatch),
+            (None, [Hyperplane(a=(2**63,), b=1)], ArithmeticOverflow),
+            (None, [Hyperplane(a=(1,), b=1), Hyperplane(a=(1, 1), b=1)], DimensionMismatch),
+            ([(1, 1), (1, 1, 1)], None, ValueError),
+            ([(1, 2**70)], None, ArithmeticOverflow),
+            ([(1, 1)], [Hyperplane(a=(1, 1), b=1)], ValueError),
+            (None, generate_hyperplanes(normalize_params(3, 96, 4)), ValueError),
         ],
-        ids=["beyond_int64", "mixed_dimensions"],
+        ids=["beyond_int64", "mixed_dimensions", "point_of_another_width", "point_beyond_int64",
+             "hyperplane_of_another_d", "family_of_another_d"],
     )
-    def test_writer_refuses_what_no_loader_accepts(self, tmp_path, d2_instance, hyperplanes,
-                                                   error):
+    def test_writer_refuses_what_no_loader_accepts(self, tmp_path, d2_instance, points,
+                                                   hyperplanes, error):
         path = tmp_path / "inst.json"
         with pytest.raises(error):
-            save_instance(path, d2_instance[0], None, hyperplanes)
+            save_instance(path, d2_instance[0], points, hyperplanes)
         assert not path.exists()
 
-    def test_schema_shape(self, d2_instance):
+    def test_schema_shape(self, tmp_path, d2_instance):
         params, points, hyperplanes = d2_instance
-        doc = instance_to_dict(params, points, hyperplanes)
+        path = tmp_path / "inst.json"
+        save_instance(path, params, points, hyperplanes)
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["params", "points", "hyperplanes"]
         assert doc["points"][0] == [1, 1]
         assert doc["hyperplanes"][0] == {"a": [1], "b": 1}
 
     def test_corrupted_points_still_load(self, d2_instance):
         params, points, hyperplanes = d2_instance
-        doc = instance_to_dict(params, points, hyperplanes)
+        doc = reference_instance_to_dict(params, points, hyperplanes)
         doc["points"][0] = [1, 9]  # moved off-grid; must load so verify can flag it
         parsed = instance_from_dict(doc)
         assert parsed.points[0] == (1, 9)
 
     def test_wrong_point_dimension_rejected(self, d2_instance):
         params, points, hyperplanes = d2_instance
-        doc = instance_to_dict(params, points, hyperplanes)
+        doc = reference_instance_to_dict(params, points, hyperplanes)
         doc["points"][0] = [1, 1, 1]
         with pytest.raises(ValueError):
             instance_from_dict(doc)
@@ -121,6 +135,73 @@ class TestInstanceSchema:
         for doc in ({"points": [[1, 1]]}, 5, "params"):
             with pytest.raises(ValueError):
                 instance_from_dict(doc)
+
+
+D2, D3, D4 = normalize_params(2, 16, 2), normalize_params(3, 96, 4), normalize_params(4, 4096, 64)
+
+# name -> (params, points, hyperplanes) that load_instance accepts back.
+WRITER_CASES = {
+    "bare_params": (D2, None, None),
+    "empty_sections": (D2, [], []),
+    "empty_sections_d3": (D3, [], []),
+    "points_only": (D2, [(1, 1), (2, 8)], None),
+    "hyperplanes_only": (D2, None, [Hyperplane(a=(1,), b=1)]),
+    "extreme_coordinates": (D2, [(0, 0), (-1, -7), (INT64_MIN, INT64_MAX), (INT64_MAX, INT64_MIN)],
+                            [Hyperplane(a=(INT64_MAX,), b=INT64_MAX), Hyperplane(a=(1,), b=1)]),
+    "extreme_coefficients_d4": (D4, [(INT64_MIN, 0, -1, INT64_MAX)],
+                                [Hyperplane(a=(INT64_MAX, 1, 2), b=INT64_MAX)]),
+    **{f"generated_d{params.d}": (params, generate_points(params), generate_hyperplanes(params))
+       for params in (D2, D3, D4)},
+}
+
+
+class TestWriter:
+    """save_instance against json.dumps of reference_instance_to_dict."""
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_bytes_match_the_reference(self, tmp_path, monkeypatch, case, block):
+        # Blocks of 1 and 3 rows run the seams and separators between blocks.
+        if block is not None:
+            monkeypatch.setattr(srlb.io, "WRITE_BLOCK", block)
+        params, points, hyperplanes = WRITER_CASES[case]
+        path = tmp_path / "inst.json"
+        save_instance(path, params, points, hyperplanes)
+        expected = json.dumps(reference_instance_to_dict(params, points, hyperplanes))
+        assert path.read_bytes() == expected.encode()
+        doc = load_instance(path)
+        assert doc.points == (None if points is None else list(points))
+        assert doc.hyperplanes is None or list(doc.hyperplanes) == list(hyperplanes)
+
+    @pytest.mark.parametrize(
+        "d,n,t,sha256",
+        [
+            (2, 16, 2, "0a0e7a03904f3065e7af5d2f306f078fe6ac97445c23fa9fd910ff8aafd9a3e1"),
+            (3, 96, 4, "ed0be07549dc0f3a86aee0de4ffc3f1fc06bc36b06fdc3107485cabb1a964fc0"),
+            (3, 2048, 16, "bcc61a893abf280808e49d09437048b07497058dc983f8bca36bc1f85745732e"),
+            (4, 4096, 64, "7f634e8c3d37c6ca144fa75b05846f351e985f297a31bc71eea838e54797c6c5"),
+        ],
+    )
+    def test_gen_files_are_unchanged(self, tmp_path, capsys, d, n, t, sha256):
+        # Digests of the files that the json.dumps writer wrote for these requests.
+        out = tmp_path / "inst.json"
+        assert main(["gen", "-d", str(d), "-n", str(n), "-t", str(t), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "d,n,t",
+        [(2, 16, 2), (2, 4096, 16), (3, 96, 4), (3, 2048, 16), (4, 4096, 64), (4, 4096, 27),
+         (2, 70000, 32),  # 69,984 points: two blocks
+         (2, 4096, 2)],  # 524,288 hyperplanes: eight blocks; dicts per row peak over it here
+    )
+    def test_gen_charge_bounds_the_writer(self, tmp_path, traced_peak, d, n, t):
+        # gen charges charge_verify(params) and nothing else before it writes.
+        params = normalize_params(d, n, t)
+        points, family = generate_points(params), generate_hyperplanes(params)
+        result, peak = traced_peak(save_instance, tmp_path / "inst.json", params, points, family)
+        assert result is None
+        assert peak <= charge_verify(params)
 
 
 def reference_instance_from_dict(doc):
