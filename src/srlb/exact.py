@@ -87,7 +87,10 @@ def int64_rows(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarr
 
     Every row must be a list or tuple of exactly `width` values; a length
     check alone would pass the str "12" or a dict, whose keys it yields.
+    An int64 table of that width, such as loaded points, passes as it is.
     """
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.shape[1:] == (width,):
+        return rows
     if not (
         isinstance(rows, (list, tuple))
         and all(issubclass(kind, (list, tuple)) for kind in set(map(type, rows)))
@@ -106,6 +109,8 @@ def int64_rows(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarr
 def envelope(table: np.ndarray) -> list[int]:
     """Largest |entry| per column of a non-empty int64 table, as Python ints.
 
-    np.abs wraps INT64_MIN onto itself, whose bits read 2**63 as uint64.
+    Taken as max(|min|, |max|) of the column reductions, with no copy of the
+    table; as Python ints, |INT64_MIN| is 2**63 and does not wrap.
     """
-    return np.abs(table).view(np.uint64).max(axis=0).tolist()
+    lows, highs = table.min(axis=0).tolist(), table.max(axis=0).tolist()
+    return [max(-lo, hi) for lo, hi in zip(lows, highs)]

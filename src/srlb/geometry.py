@@ -29,6 +29,23 @@ from .exact import INT64_MAX, MAX_POINTS, check_int64, checked_dot, int64_rows, 
 GridPoint = tuple[int, ...]
 
 
+def point_table(points: Union[np.ndarray, Sequence[GridPoint]]) -> np.ndarray:
+    """points as an (n, d) int64 table: a table as it is, tuples converted once.
+
+    The tuples must share one length (DimensionMismatch otherwise; none at
+    all give a (0, 0) table), and a coordinate outside int64 raises
+    ArithmeticOverflow.  A table of another dtype or shape is a ValueError.
+    """
+    if isinstance(points, np.ndarray):
+        if points.dtype != np.int64 or points.ndim != 2:
+            raise ValueError("need an int64 point table of shape (n, d)")
+        return points
+    dims = set(map(len, points)) or {0}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"mixed dimensions in input: {sorted(dims)}")
+    return int64_rows(points, dims.pop(), "point coordinates")
+
+
 @dataclass(frozen=True)
 class InstanceParams:
     """Validated construction parameters.

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ArithmeticOverflow, DimensionMismatch
-from .exact import INT64_MAX, MAX_POINTS, charge, check_int64, envelope, int64_rows
+from .exact import INT64_MAX, MAX_POINTS, charge, check_int64, envelope
 from .geometry import (
     GridPoint,
     Hyperplane,
@@ -30,6 +30,7 @@ from .geometry import (
     eval_hyperplane,
     generate_hyperplanes,
     generate_points,
+    point_table,
 )
 from .io import InstanceDocument
 
@@ -116,38 +117,36 @@ def _first_row_over(family: HyperplaneFamily, max_abs: Sequence[int]) -> int:
 
 
 def build_incidence_graph(
-    points: Sequence[GridPoint], hyperplanes: Sequence[Hyperplane]
+    points: Union[np.ndarray, Sequence[GridPoint]], hyperplanes: Sequence[Hyperplane]
 ) -> IncidenceGraph:
     """Incidence graph as an exact sort-join of hyperplane values and points.
 
     Deliberately ignores the parametric structure so it can cross-check
-    incident_points().  The hyperplanes are converted once with
-    HyperplaneFamily.of and joined as int64 columns; ArithmeticOverflow
-    names the first whose value could wrap (_first_row_over).  One stable
-    lexsort orders the points by (base X_1..X_{d-1}, X_d, index); the
-    places where the base changes group them into u distinct bases.  Each
-    hyperplane is evaluated once per base (the predicate X_d == b +
-    sum(a_i * X_i)), base-major, as bases @ slopes.T + offsets, so the
-    matched values come out grouped by base, and each is matched by binary
-    search against the points with that base.  This costs O(m*u*log n +
-    incidences) instead of testing all n*m pairs; in the grid family
-    u = t.  Once u is known it charges the m*u evaluations and the first
+    incident_points().  The points are converted once with point_table, the
+    hyperplanes with HyperplaneFamily.of, and both are joined as int64
+    tables; ArithmeticOverflow names the first hyperplane whose value could
+    wrap (_first_row_over).  One stable lexsort orders the points by (base
+    X_1..X_{d-1}, X_d, index); the places where the base changes group them
+    into u distinct bases.  Each hyperplane is evaluated once per base (the
+    predicate X_d == b + sum(a_i * X_i)), base-major, as bases @ slopes.T +
+    offsets, so the matched values come out grouped by base, and each is
+    matched by binary search against the points with that base.  This costs
+    O(m*u*log n + incidences) instead of testing all n*m pairs; in the grid
+    family u = t.  Once u is known it charges the m*u evaluations and the first
     block's scratch, BLOCK_VALUE_BYTES per value, and before each block's
     output the incidences so far, INCIDENCE_BYTES each.
     The pair-by-pair scan it replaced is kept in the tests as the reference.
     """
-    family = HyperplaneFamily.of(hyperplanes)
-    dims = {family.d} if family else set()
-    dims |= set(map(len, points))
+    family, coords = HyperplaneFamily.of(hyperplanes), point_table(points)
+    n, m = len(coords), len(family)
+    dims = ({family.d} if m else set()) | ({coords.shape[1]} if n else set())
     if len(dims) > 1:
         raise DimensionMismatch(f"mixed dimensions in input: {sorted(dims)}")
 
-    n, m = len(points), len(family)
     if not n or not m:
         empty = np.zeros(m + 1, dtype=np.int64)
         return IncidenceGraph(point_count=n, indptr=empty, indices=empty[:0])
 
-    coords = int64_rows(points, dims.pop(), "point coordinates")
     # X_d is only compared for equality, so the join key is (base id, rank
     # of X_d among its distinct values): no arithmetic touches a raw X_d.
     lasts, last_rank = np.unique(coords[:, -1], return_inverse=True)

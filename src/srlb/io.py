@@ -6,6 +6,9 @@ Instance documents look like
      "points": [[ints]],                      # optional, regenerable
      "hyperplanes": [{"a": [ints], "b": int}]}  # optional, regenerable
 
+save_instance writes them as json.dumps does; load_instance parses those
+bytes straight into int64 tables and sends any other JSON through json.
+
 Stats CSV rows use the header n,d,query_id,k,nodes_visited,leaves_scanned,
 points_tested; per-instance aggregate rows reuse the schema with query_id
 "mean" and "max".
@@ -21,7 +24,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .exact import int64_rows
+from .errors import SrlbError
+from .exact import INT64_MAX, int64_rows
 from .geometry import GridPoint, Hyperplane, HyperplaneFamily, InstanceParams
 from .reporting import QueryStats
 
@@ -35,12 +39,17 @@ STATS_HEADER = ("n", "d", "query_id", "k", "nodes_visited", "leaves_scanned", "p
 class InstanceDocument:
     """An instance as stored on disk; points/hyperplanes may be absent.
 
-    A loaded document holds its hyperplanes as a HyperplaneFamily.
+    A loaded document holds its points as an (n, d) int64 table and its
+    hyperplanes as a HyperplaneFamily.  A point table is frozen in place.
     """
 
     params: InstanceParams
-    points: Optional[list[GridPoint]]
+    points: Optional[Union[np.ndarray, Sequence[GridPoint]]]
     hyperplanes: Optional[Sequence[Hyperplane]]
+
+    def __post_init__(self) -> None:
+        if isinstance(self.points, np.ndarray):
+            self.points.flags.writeable = False
 
 
 def params_to_dict(params: InstanceParams) -> dict:
@@ -71,8 +80,7 @@ def instance_from_dict(doc: dict) -> InstanceDocument:
     params = params_from_dict(doc["params"])
     points = None
     if "points" in doc:
-        coords = int64_rows(doc["points"], params.d, "point coordinates")
-        points = list(map(tuple, coords.tolist()))
+        points = int64_rows(doc["points"], params.d, "point coordinates")
     hyperplanes = None
     if "hyperplanes" in doc:
         stored = doc["hyperplanes"]
@@ -117,8 +125,106 @@ def save_instance(
         fh.write("}")
 
 
+def _literal_table(body: memoryview, row: bytes, width: int) -> Optional[np.ndarray]:
+    """The ASCII body as a (k, width) int64 table, or None unless it reads as
+    k copies of row joined by ", ", each 0 of row an integer literal
+    -?(0|[1-9][0-9]*) that fits int64.
+
+    A literal is a maximal run of digits and '-'.  Collapsed to one '0' each,
+    the runs must leave exactly the k rows; each run is then checked as a
+    literal and converted by Horner's rule in uint64, all runs at once,
+    aligned at their last digit.  No Python object is made per value.
+    """
+    if not len(body):
+        return np.zeros((0, width), np.int64)
+    b = np.frombuffer(body, np.uint8)
+    literal = (b - ord("0") < 10) | (b == ord("-"))  # uint8: b < '0' wraps above 9
+    # Where runs start and end (one past their last byte), alternately.
+    edges = np.flatnonzero(np.diff(literal, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    # Each run but its first byte becomes 0xff, which no ASCII body holds.
+    skeleton = literal.view(np.uint8) * np.uint8(0xFF)
+    del literal
+    skeleton |= b
+    skeleton[starts] = ord("0")
+    k = len(starts) // width
+    if skeleton.tobytes().translate(None, b"\xff") != ((row + b", ") * k)[:-2]:
+        return None
+    del skeleton
+    negative = b[starts] == ord("-")
+    if np.count_nonzero(b == ord("-")) != np.count_nonzero(negative):
+        return None  # a '-' inside a run
+    starts += negative  # now each literal's first digit
+    digits = ends - starts
+    if not (1 <= digits.min() and digits.max() <= 19):  # 19 digits hold any int64
+        return None
+    if ((b[starts] == ord("0")) & (digits > 1)).any():
+        return None  # a leading zero
+    places = int(digits.max())
+    at = np.subtract(ends, places, out=starts)  # each literal's digit 10**(places - 1)
+    value = np.zeros(len(ends), np.uint64)
+    for place in range(places - 1, -1, -1):
+        value *= 10  # < 10**19 < 2**64: no wrap
+        np.add(value, b.take(at, mode="clip") - ord("0"), out=value, where=digits > place)
+        at += 1
+    if (value > np.uint64(INT64_MAX) + negative).any():
+        return None
+    np.negative(value, out=value, where=negative)  # wraps -2**63 onto itself
+    return value.view(np.int64).reshape(k, width)
+
+
+def _columnar_document(raw: bytes) -> Optional[InstanceDocument]:
+    """raw as save_instance writes it, parsed into int64 tables; None when a
+    byte departs from that grammar or a value from int64.
+
+    The grammar: the ASCII text '{"params": ' and a flat params object that
+    json parses, then an optional ', "points": [' section and an optional
+    ', "hyperplanes": [' section, in that order, each closed by ']', then '}'
+    and nothing more.  A section holds rows joined by ", ", the rows
+    json.dumps writes for that section with each value an integer literal
+    (_literal_table).  A file that fits it is valid JSON, and
+    instance_from_dict(json.loads(raw)) gives the same document or raises the
+    same error: params first, then a coefficient below 1 (HyperplaneFamily).
+    """
+    head = b'{"params": '
+    if not (raw.startswith(head + b"{") and raw.isascii()):
+        return None
+    at = raw.find(b"}") + 1
+    try:
+        params = params_from_dict(json.loads(raw[len(head):at]))
+    except (ValueError, SrlbError):  # instance_from_dict raises it again
+        return None
+    zero_rows = {"points": [0] * params.d, "hyperplanes": {"a": [0] * (params.d - 1), "b": 0}}
+    tables = {}
+    for key, zeros in zero_rows.items():
+        opener = f', "{key}": ['.encode()
+        if not raw.startswith(opener, at):
+            continue
+        start, row = at + len(opener), json.dumps(zeros).encode()
+        # The section ends at its first row end that a ']' follows.
+        end = start if raw.startswith(b"]", start) else raw.find(row[-1:] + b"]", start) + 1
+        table = _literal_table(memoryview(raw)[start:end], row, params.d) if end >= start else None
+        if table is None:
+            return None
+        tables[key], at = table, end + 1
+    if raw[at:] != b"}":
+        return None
+    hyperplanes = tables.get("hyperplanes")
+    if hyperplanes is not None:
+        hyperplanes = HyperplaneFamily(hyperplanes[:, :-1], hyperplanes[:, -1])
+    return InstanceDocument(params=params, points=tables.get("points"), hyperplanes=hyperplanes)
+
+
 def load_instance(path: PathLike) -> InstanceDocument:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    """The instance stored at path.
+
+    A file in save_instance's grammar is parsed straight into int64 tables
+    (_columnar_document); any other file, a hand-edited one say, goes
+    through instance_from_dict(json.loads(text)).  Either way the document,
+    or the error, is the one that json path gives.
+    """
+    doc = _columnar_document(Path(path).read_bytes())
+    return doc if doc is not None else instance_from_dict(json.loads(Path(path).read_text()))
 
 
 def format_stat(value: Union[int, float]) -> str:

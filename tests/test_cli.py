@@ -423,7 +423,7 @@ class TestPreflight:
         assert stderr.startswith("error: join blocks of 200000 values take up to 20800000 bytes")
         error, peak = traced_peak(verify_instance, load_instance(instance_file))
         assert isinstance(error, InstanceTooLarge)
-        assert peak < 2**20  # the copies of one column (envelope), not a block
+        assert peak < 800_000  # below one copy of the 8 * 100,000-byte slope column
 
     def test_budget_bounds_incidence_scan(self, instance_file, capsys, monkeypatch):
         # d=2, n=16: the verify model is the largest byte charge of the run.

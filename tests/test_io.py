@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import srlb.io
@@ -20,6 +21,7 @@ from srlb.io import (
     STATS_HEADER,
     InstanceDocument,
     StatsCsvWriter,
+    _columnar_document,
     format_stat,
     instance_from_dict,
     load_instance,
@@ -29,6 +31,16 @@ from srlb.io import (
     save_instance,
     stats_row,
 )
+
+
+def point_rows(table):
+    """A loaded point table as a list of tuples (None stays None), after
+    checking that it is a read-only (n, d) int64 table."""
+    if table is None:
+        return None
+    assert isinstance(table, np.ndarray) and table.dtype == np.int64 and table.ndim == 2
+    assert not table.flags.writeable
+    return list(map(tuple, table.tolist()))
 
 
 class TestParamsSchema:
@@ -58,8 +70,16 @@ class TestInstanceSchema:
         save_instance(path, params, points, hyperplanes)
         doc = load_instance(path)
         assert doc.params == params
-        assert doc.points == points
+        assert point_rows(doc.points) == points
         assert doc.hyperplanes == hyperplanes
+
+    def test_loaded_document_saves_back(self, tmp_path, d3_instance):
+        params, points, hyperplanes = d3_instance
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_instance(first, params, points, hyperplanes)
+        doc = load_instance(first)
+        save_instance(second, doc.params, doc.points, doc.hyperplanes)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_optional_sections_regenerate(self, tmp_path, d2_instance):
         params, points, hyperplanes = d2_instance
@@ -122,7 +142,7 @@ class TestInstanceSchema:
         doc = reference_instance_to_dict(params, points, hyperplanes)
         doc["points"][0] = [1, 9]  # moved off-grid; must load so verify can flag it
         parsed = instance_from_dict(doc)
-        assert parsed.points[0] == (1, 9)
+        assert point_rows(parsed.points)[0] == (1, 9)
 
     def test_wrong_point_dimension_rejected(self, d2_instance):
         params, points, hyperplanes = d2_instance
@@ -170,7 +190,7 @@ class TestWriter:
         expected = json.dumps(reference_instance_to_dict(params, points, hyperplanes))
         assert path.read_bytes() == expected.encode()
         doc = load_instance(path)
-        assert doc.points == (None if points is None else list(points))
+        assert point_rows(doc.points) == (None if points is None else list(points))
         assert doc.hyperplanes is None or list(doc.hyperplanes) == list(hyperplanes)
 
     @pytest.mark.parametrize(
@@ -264,14 +284,16 @@ LOADER_CASES = {
 
 
 def _outcome(load, doc):
-    """The loaded (params, points, hyperplanes as a list), or the type of the
-    exception the loader raised."""
+    """The loaded (params, points as tuples, hyperplanes as a list), or the
+    type of the exception the loader raised.  The reference loader gives its
+    points as tuples already; a table must be a read-only int64 one."""
     try:
         loaded = load(doc)
     except Exception as exc:  # the exception type is the outcome under test
         return type(exc)
+    points = loaded.points if isinstance(loaded.points, list) else point_rows(loaded.points)
     hyperplanes = None if loaded.hyperplanes is None else list(loaded.hyperplanes)
-    return loaded.params, loaded.points, hyperplanes
+    return loaded.params, points, hyperplanes
 
 
 class TestBulkLoader:
@@ -284,8 +306,7 @@ class TestBulkLoader:
         if isinstance(expected, tuple):
             loaded = instance_from_dict(doc)
             assert loaded.hyperplanes is None or isinstance(loaded.hyperplanes, HyperplaneFamily)
-            values = [c for p in loaded.points or [] for c in p]
-            values += [c for h in loaded.hyperplanes or [] for c in (*h.a, h.b)]
+            values = [c for h in loaded.hyperplanes or [] for c in (*h.a, h.b)]
             assert all(type(c) is int for c in values)  # equality misses numpy scalars
 
     @pytest.mark.parametrize(
@@ -359,6 +380,152 @@ class TestBulkLoader:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "64-bit" in captured.err
+
+
+def json_load(path):
+    """The loader the columnar parse must agree with: json, then instance_from_dict."""
+    return instance_from_dict(json.loads(path.read_text()))
+
+
+def loaded_tables(load, path):
+    """load(path) as (params, point table, (slope table, offset column)),
+    each table as (dtype, shape, rows); or the (type, text) of the error."""
+    try:
+        doc = load(path)
+    except Exception as exc:  # the exception type and text are the outcome under test
+        return type(exc), str(exc)
+
+    def table(array):
+        return array.dtype, array.shape, array.tolist()
+
+    family = doc.hyperplanes
+    return (
+        doc.params,
+        None if doc.points is None else table(doc.points),
+        None if family is None else (table(family.slopes), table(family.offsets)),
+    )
+
+
+WRITTEN = json.dumps({"params": D2_PARAMS, "points": [[1, 1], [2, 8]],
+                      "hyperplanes": [{"a": [2], "b": 3}]})
+POINTS, HYPERPLANES = ', "points": [[1, 1], [2, 8]]', ', "hyperplanes": [{"a": [2], "b": 3}]'
+BARE = WRITTEN.replace(POINTS, "").replace(HYPERPLANES, "")
+
+# name -> (file bytes, whether the columnar parse takes them).  The text
+# differs from what save_instance writes only where the name says.
+TEXT_CASES = {
+    "as_written": (WRITTEN, True),
+    "bare_params": (BARE, True),
+    "points_only": (WRITTEN.replace(HYPERPLANES, ""), True),
+    "hyperplanes_only": (WRITTEN.replace(POINTS, ""), True),
+    "empty_sections": (WRITTEN.replace("[[1, 1], [2, 8]]", "[]")
+                       .replace('[{"a": [2], "b": 3}]', "[]"), True),
+    "zero": (WRITTEN.replace("[2, 8]", "[0, 0]"), True),
+    "minus_zero": (WRITTEN.replace("[2, 8]", "[-0, 8]"), True),
+    "int64_max": (WRITTEN.replace("[2, 8]", f"[{2**63 - 1}, {-(2**63 - 1)}]"), True),
+    "int64_min": (WRITTEN.replace("[2, 8]", f"[{-(2**63)}, 8]"), True),
+    "int64_max_slope": (WRITTEN.replace('"b": 3', f'"b": {2**63 - 1}'), True),
+    "two_to_63": (WRITTEN.replace("[2, 8]", f"[{2**63}, 8]"), False),
+    "below_int64_min": (WRITTEN.replace("[2, 8]", f"[{-(2**63) - 1}, 8]"), False),
+    "two_to_63_offset": (WRITTEN.replace('"b": 3', f'"b": {2**63}'), False),
+    "19_digits": (WRITTEN.replace("[2, 8]", f"[{10**18}, 8]"), True),
+    "19_digits_over": (WRITTEN.replace("[2, 8]", f"[{10**19 - 1}, 8]"), False),
+    "20_digits": (WRITTEN.replace("[2, 8]", f"[{10**19}, 8]"), False),
+    "20_digits_leading_zeros": (WRITTEN.replace("[2, 8]", "[00000000000000000001, 8]"), False),
+    "leading_zero": (WRITTEN.replace("[2, 8]", "[01, 8]"), False),
+    "leading_zero_negative": (WRITTEN.replace("[2, 8]", "[-01, 8]"), False),
+    "leading_zero_slope": (WRITTEN.replace('"a": [2]', '"a": [02]'), False),
+    "exponent": (WRITTEN.replace("[2, 8]", "[1e3, 8]"), False),
+    "fraction": (WRITTEN.replace("[2, 8]", "[1.0, 8]"), False),
+    "plus_sign": (WRITTEN.replace("[2, 8]", "[+2, 8]"), False),
+    "lone_minus": (WRITTEN.replace("[2, 8]", "[-, 8]"), False),
+    "minus_inside": (WRITTEN.replace("[2, 8]", "[2-1, 8]"), False),
+    "double_minus": (WRITTEN.replace("[2, 8]", "[--2, 8]"), False),
+    "below_one_slope": (WRITTEN.replace('"a": [2]', '"a": [0]'), True),
+    "negative_offset": (WRITTEN.replace('"b": 3', '"b": -3'), True),
+    "wide_point": (WRITTEN.replace("[2, 8]", "[2, 8, 1]"), False),
+    "wide_slopes": (WRITTEN.replace('"a": [2]', '"a": [2, 1]'), False),
+    "reordered_sections": (BARE[:-1] + HYPERPLANES + POINTS + "}", False),
+    "reordered_hyperplane_keys": (WRITTEN.replace('{"a": [2], "b": 3}', '{"b": 3, "a": [2]}'),
+                                  False),
+    "extra_key": (WRITTEN[:-1] + ', "note": 1}', False),
+    "extra_hyperplane_key": (WRITTEN.replace('"b": 3}', '"b": 3, "c": 4}'), False),
+    "extra_params_key": (WRITTEN.replace('"m": 8}', '"m": 8, "note": "x"}'), True),
+    "invalid_params": (WRITTEN.replace('"m": 8', '"m": 9'), False),
+    "invalid_params_and_text": (WRITTEN.replace('"m": 8', '"m": 9')
+                                .replace("[2, 8]", "[02, 8]"), False),
+    "nested_params": (WRITTEN.replace('"m": 8', '"m": {"x": 8}'), False),
+    "params_not_an_object": (WRITTEN.replace('{"d": 2, "s": 2, "t": 2, "n": 16, "A": 2, "B": 4, '
+                                             '"m": 8}', "[2]"), False),
+    "compact": (WRITTEN.replace(", ", ","), False),
+    "no_space_in_row": (WRITTEN.replace("[2, 8]", "[2,8]"), False),
+    "space_in_empty_section": (BARE[:-1] + ', "points": [ ]}', False),
+    "trailing_newline": (WRITTEN + "\n", False),
+    "trailing_bytes": (WRITTEN + "x", False),
+    "truncated": (WRITTEN[:-2], False),
+    "utf8_bom": ("\ufeff" + WRITTEN, False),
+    "non_ascii_params_key": (WRITTEN.replace('"m": 8}', '"m": 8, "\u00e9": 1}'), False),
+}
+NOT_UTF8 = {
+    "not_utf8_in_params": WRITTEN.encode().replace(b'"m": 8}', b'"m": 8, "\xff": 1}'),
+    "not_utf8_in_points": WRITTEN.encode().replace(b"[2, 8]", b"[2, \xff8]"),
+}
+DUMPS_STYLES = {"default": {}, "indent": {"indent": 1}, "compact": {"separators": (",", ":")}}
+
+
+class TestColumnarLoader:
+    """load_instance against json.loads and instance_from_dict, file by file."""
+
+    @pytest.mark.parametrize("style", sorted(DUMPS_STYLES))
+    @pytest.mark.parametrize("case", sorted(LOADER_CASES))
+    def test_loader_cases_match_the_json_path(self, tmp_path, case, style):
+        params, sections = LOADER_CASES[case]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"params": params, **sections}, **DUMPS_STYLES[style]))
+        assert loaded_tables(load_instance, path) == loaded_tables(json_load, path)
+
+    @pytest.mark.parametrize("case", sorted(TEXT_CASES))
+    def test_text_cases_match_the_json_path(self, tmp_path, case):
+        text, columnar = TEXT_CASES[case]
+        path = tmp_path / "inst.json"
+        path.write_bytes(text.encode())
+        assert loaded_tables(load_instance, path) == loaded_tables(json_load, path)
+        try:
+            taken = _columnar_document(path.read_bytes()) is not None
+        except ValueError:  # a coefficient below 1, raised as the json path raises it
+            taken = True
+        assert taken == columnar
+
+    @pytest.mark.parametrize("case", sorted(NOT_UTF8))
+    def test_bytes_that_are_not_utf8_match_the_json_path(self, tmp_path, case):
+        path = tmp_path / "inst.json"
+        path.write_bytes(NOT_UTF8[case])
+        outcome = loaded_tables(load_instance, path)
+        assert outcome[0] is UnicodeDecodeError
+        assert outcome == loaded_tables(json_load, path)
+
+    @pytest.mark.parametrize("d,n,t", [(2, 16, 2), (3, 2048, 16), (4, 4096, 64)])
+    def test_gen_files_never_reach_json_with_a_section(self, tmp_path, capsys, monkeypatch,
+                                                       d, n, t):
+        out = tmp_path / "inst.json"
+        assert main(["gen", "-d", str(d), "-n", str(n), "-t", str(t), "--out", str(out)]) == 0
+        capsys.readouterr()
+        parsed, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or loads(text))
+        doc = load_instance(out)
+        params = normalize_params(d, n, t)
+        assert parsed == [json.dumps(params_to_dict(params)).encode()]
+        assert point_rows(doc.points) == generate_points(params)
+        assert doc.hyperplanes == generate_hyperplanes(params)
+
+    @pytest.mark.parametrize("d,n,t", [(2, 4096, 16), (3, 2048, 16), (4, 4096, 64)])
+    def test_load_peak_per_file_byte(self, tmp_path, traced_peak, d, n, t):
+        params = normalize_params(d, n, t)
+        path = tmp_path / "inst.json"
+        save_instance(path, params, generate_points(params), generate_hyperplanes(params))
+        doc, peak = traced_peak(load_instance, path)
+        assert doc.params == params
+        assert peak < 16 * path.stat().st_size
 
 
 class TestBoundReportSchema:
