@@ -120,8 +120,7 @@ def _slab_rows(
     instances: Sequence[InstanceParams], plan: ExperimentPlan
 ) -> Iterator[tuple[InstanceParams, dict]]:
     for params in instances:
-        points = generate_points(params)
-        tree = build_kdtree(points, leaf_capacity=plan.leaf_capacity)
+        tree = build_kdtree(generate_points(params), leaf_capacity=plan.leaf_capacity)
         per_query = []
         for qid in select_query_ids(params.m, plan.seed):
             _, stats = query(tree, slab_query_for(hyperplane_at(params, qid)))

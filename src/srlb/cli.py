@@ -27,10 +27,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     params = normalize_params(args.d, args.n, args.t)
     # Write only instances that verify can check.
     incidence.charge_verify(params)
-    points = generate_points(params)
-    hyperplanes = generate_hyperplanes(params)
     out = Path(args.out or f"instance_d{params.d}_n{params.n}_t{params.t}.json")
-    io.save_instance(out, params, points, hyperplanes)
+    io.save_instance(out, params, generate_points(params), generate_hyperplanes(params))
     print(json.dumps({
         "params": io.params_to_dict(params),
         "bound": incidence.bound_report(params),
@@ -70,8 +68,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if row["query_id"] == "max":
                 mean_row, max_row = instance_rows[-2], instance_rows[-1]
                 print(
-                    f"n={params.n} t={params.t} m={params.m}"
-                    f" queries={len(instance_rows) - 2}"
+                    " ".join(f"{key}={value}" for key, value in io.params_to_dict(params).items()),
+                    f"queries={len(instance_rows) - 2}"
                     f" mean_visits={io.format_stat(mean_row['nodes_visited'])}"
                     f" max_visits={io.format_stat(max_row['nodes_visited'])}"
                 )

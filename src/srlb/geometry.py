@@ -272,10 +272,12 @@ def largest_valid_richness(d: int, n_requested: int) -> InstanceParams:
     return normalize_params(d, n_requested, s ** (d - 1))
 
 
-def generate_points(params: InstanceParams) -> list[GridPoint]:
-    """All n grid points of the instance, in row-major order (last axis fastest)."""
-    axes = [range(1, params.s + 1)] * (params.d - 1) + [range(1, params.rows + 1)]
-    return list(itertools.product(*axes))
+def generate_points(params: InstanceParams) -> np.ndarray:
+    """All n grid points as a read-only, C-contiguous (n, d) int64 table, last axis fastest."""
+    shape = (params.s,) * (params.d - 1) + (params.rows,)
+    table = np.ascontiguousarray(np.indices(shape, dtype=np.int64).reshape(params.d, -1).T) + 1
+    table.flags.writeable = False
+    return table
 
 
 def generate_hyperplanes(params: InstanceParams) -> HyperplaneFamily:

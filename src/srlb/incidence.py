@@ -266,16 +266,16 @@ def pair_coverage(graph: IncidenceGraph) -> tuple[int, Optional[tuple[int, int]]
 def charge_verify(params: InstanceParams) -> int:
     """Charge, and return, the bytes verify_instance may hold at once on params.
 
-    Sums each phase's peak on the family that params generate: per point
-    its tuple and the join's sort keys, per hyperplane its int64 rows (three
-    copies in np.indices) and counters, one block of the join's per-value
-    scratch, INCIDENCE_BYTES per incidence, and _pair_bytes.  It bounds the
-    tracemalloc peak of verify_instance, measured at d = 2..4, n = 2**10 to
-    2**16.  It needs nothing generated, so gen charges it too.
+    Sums each phase's peak on the family that params generate: per point its
+    int64 row, generate_points' copy and the join's sort keys, per hyperplane
+    its int64 rows (three copies in np.indices) and counters, one block of the
+    join's per-value scratch, INCIDENCE_BYTES per incidence, and _pair_bytes.
+    It bounds the tracemalloc peak of verify_instance, measured at d = 2..4,
+    n = 2**10 to 2**16.  It needs nothing generated, so gen charges it too.
     """
     n, d, t, m = params.n, params.d, params.t, params.m
     cost = (
-        n * (176 + 16 * d) + m * (24 * d + 32)
+        n * (80 + 16 * d) + m * (24 * d + 32)
         + BLOCK_VALUE_BYTES * min(m * t, INCIDENCE_BLOCK + t) + INCIDENCE_BYTES * m * t + 2**16
         + _pair_bytes(m * t * (t - 1) // 2, m * t, n)
     )

@@ -14,13 +14,13 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput
-from .exact import checked_dot, envelope, int64_rows
-from .geometry import GridPoint, Hyperplane, InstanceParams
+from .errors import ArithmeticOverflow, DimensionMismatch, EmptyInput
+from .exact import MAX_POINTS, checked_dot, envelope, int64_rows
+from .geometry import GridPoint, Hyperplane, InstanceParams, point_table
 
 SENSE_LE = "le"
 SENSE_GE = "ge"
@@ -159,7 +159,7 @@ class KdTree:
 
 
 def build_kdtree(
-    points: Sequence[GridPoint], leaf_capacity: int = DEFAULT_LEAF_CAPACITY
+    points: Union[np.ndarray, Sequence[GridPoint]], leaf_capacity: int = DEFAULT_LEAF_CAPACITY
 ) -> KdTree:
     """Balanced kd-tree: median splits with axes cycling 0, 1, ..., d-1.
 
@@ -168,22 +168,23 @@ def build_kdtree(
     coordinate in the left subtree is <= every coordinate in the right,
     with the tie-broken index order deciding equal coordinates.
 
-    The tree is built level by level: one lexsort by (slice, coordinate on
-    axis l mod d, point index) orders every inner slice at depth l, the
-    midpoint rule gives the next level's slices, and at the end each
-    level's boxes come from one min/max reduction over the ordered
-    coordinates.
+    The tree is built level by level over point_table(points): one argsort
+    of slice * n + rank orders every inner slice at depth l by its points'
+    ranks in (coordinate on axis l mod d, index) order, taken once per axis;
+    an inner slice holds two points or more, so keys < n**2 / 2 <= 2**63.
+    The midpoint rule gives the next level's slices, and at the end each
+    level's boxes come from one min/max reduction over the ordered coordinates.
     """
-    if not points:
+    coords = point_table(points)
+    n, dim = coords.shape
+    if not n:
         raise EmptyInput("cannot build a tree over zero points")
-    dim = len(points[0])
-    if set(map(len, points)) != {dim}:
-        raise DimensionMismatch("points have mixed dimensions")
     if leaf_capacity < 1:
         raise ValueError(f"leaf capacity must be >= 1, got {leaf_capacity}")
+    if n > MAX_POINTS:
+        raise ArithmeticOverflow(f"{n} points exceed the cap of {MAX_POINTS}")
 
-    coords = int64_rows(points, dim, "point coordinates")
-    n = len(points)
+    ranks = np.argsort(np.argsort(coords, axis=0, kind="stable"), axis=0)
     order = np.arange(n, dtype=np.int64)
     # Each level's heap numbers and [start, end) slices of order.
     levels = [(np.zeros(1, np.int64), np.zeros(1, np.int64), np.full(1, n, np.int64))]
@@ -199,7 +200,7 @@ def build_kdtree(
         slice_ids = np.repeat(np.arange(len(sizes)), sizes)
         positions = np.arange(len(slice_ids)) + (starts - np.cumsum(sizes) + sizes)[slice_ids]
         members = order[positions]
-        order[positions] = members[np.lexsort((members, coords[members, axis], slice_ids))]
+        order[positions] = members[np.argsort(slice_ids * n + ranks[members, axis])]
         mids = starts + sizes // 2
         levels.append((
             np.stack((2 * nodes + 1, 2 * nodes + 2), axis=1).ravel(),
@@ -224,7 +225,7 @@ def build_kdtree(
         for node, l, h in zip(nodes.tolist(), lo, hi):
             boxes[node] = (tuple(l), tuple(h))
     return KdTree(
-        points=list(points),
+        points=list(zip(*coords.T.tolist())),
         order=order.tolist(),
         dim=dim,
         leaf_capacity=leaf_capacity,
@@ -308,22 +309,22 @@ def slab_query_for(h: Hyperplane) -> SimplexQuery:
 
 
 def brute_force_query(
-    points: Sequence[GridPoint], q: SimplexQuery
+    points: Union[np.ndarray, Sequence[GridPoint]], q: SimplexQuery
 ) -> list[GridPoint]:
-    """Ground-truth linear scan with exact constraint tests."""
-    if points and len(points[0]) != q.d:
-        raise DimensionMismatch(
-            f"query is {q.d}-dimensional, points are {len(points[0])}-dimensional"
-        )
-    if not points:
+    """Ground-truth scan of point_table(points), exact; reports tuples in input order."""
+    coords = point_table(points)
+    if not len(coords):
         return []
-    coords = int64_rows(points, q.d, "point coordinates")
+    if coords.shape[1] != q.d:
+        raise DimensionMismatch(
+            f"query is {q.d}-dimensional, points are {coords.shape[1]}-dimensional"
+        )
     normals = _int64_normals(q, envelope(coords))
-    mask = np.ones(len(points), dtype=bool)
+    mask = np.ones(len(coords), dtype=bool)
     for h, normal in zip(q.constraints, normals):
         values = coords @ normal
         mask &= values <= h.offset if h.sense == SENSE_LE else values >= h.offset
-    return [points[i] for i in np.flatnonzero(mask)]
+    return list(zip(*coords[mask].T.tolist()))
 
 
 def random_simplex_queries(

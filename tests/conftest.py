@@ -32,12 +32,24 @@ def from_rows(*, point_count, hyperplane_count, adjacency):
     return IncidenceGraph(point_count=point_count, indptr=indptr, indices=indices)
 
 
+def point_rows(table):
+    """A point table as a list of tuples (None stays None), after checking
+    that it is a read-only, C-contiguous (n, d) int64 table."""
+    if table is None:
+        return None
+    assert isinstance(table, np.ndarray) and table.dtype == np.int64 and table.ndim == 2
+    assert not table.flags.writeable and table.flags.c_contiguous
+    return list(map(tuple, table.tolist()))
+
+
 def reference_instance_to_dict(params, points=None, hyperplanes=None):
     """The JSON document of an instance, absent sections left out, built
-    object by object: json.dumps of it is the byte oracle of io.save_instance."""
+    object by object: json.dumps of it is the byte oracle of io.save_instance.
+    points may be tuples or a point table."""
     doc = {"params": params_to_dict(params)}
     if points is not None:
-        doc["points"] = [list(p) for p in points]
+        rows = point_rows(points) if isinstance(points, np.ndarray) else points
+        doc["points"] = [list(p) for p in rows]
     if hyperplanes is not None:
         doc["hyperplanes"] = [{"a": list(h.a), "b": h.b} for h in hyperplanes]
     return doc

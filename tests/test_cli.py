@@ -2,6 +2,7 @@ import functools
 import json
 import random
 
+import numpy as np
 import pytest
 
 import srlb.bench
@@ -17,6 +18,7 @@ from srlb.geometry import (
     generate_points,
     largest_valid_richness,
     normalize_params,
+    point_table,
 )
 from srlb.errors import InstanceTooLarge
 from srlb.incidence import IncidenceGraph, charge_verify, verify_instance
@@ -315,14 +317,24 @@ class TestVerifyRecorded:
         "d3", "d2_moved_point", "d3_repeated_hyperplanes", "d2_bare_params", "d3_verify_size",
     ])
     def test_verify_never_builds_tuple_rows(self, name, tmp_path, capsys, monkeypatch):
+        # The fixture is written first: building it makes Hyperplane objects.
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(verify_fixtures()[name]))
+
         # Nor any Hyperplane object: the family stays int64 columns throughout.
         def refuse(self, *args):
             raise AssertionError(f"verify built {type(self).__name__} objects")
 
+        # Nor a point tuple: loaded or regenerated (d2_bare_params), the
+        # points reach the join as a table.
+        def table_only(points):
+            if not isinstance(points, np.ndarray):
+                raise AssertionError("verify built point tuples")
+            return point_table(points)
+
         monkeypatch.setattr(IncidenceGraph, "adjacency", property(refuse))
         monkeypatch.setattr(Hyperplane, "__post_init__", refuse)
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(verify_fixtures()[name]))
+        monkeypatch.setattr(srlb.incidence, "point_table", table_only)
         report = verify_instance(load_instance(path))
         rc, stdout, _ = run_cli(capsys, "verify", str(path))
         assert (rc, stdout) == RECORDED_VERIFY[name]
@@ -428,7 +440,7 @@ class TestPreflight:
     def test_budget_bounds_incidence_scan(self, instance_file, capsys, monkeypatch):
         # d=2, n=16: the verify model is the largest byte charge of the run.
         cost = charge_verify(load_instance(instance_file).params)
-        assert cost == 72_424
+        assert cost == 70_888
         monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", cost - 1)
         assert run_cli(capsys, "verify", str(instance_file))[0] == 3
         monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", cost)
@@ -447,7 +459,14 @@ class TestBenchAndFit:
         rows = read_stats_csv(out)
         mean_rows = [r for r in rows if r["query_id"] == "mean"]
         assert [int(r["n"]) for r in mean_rows] == [p.n for p in expected]
-        assert "mean_visits=" in stdout
+        # One summary line per size, naming the whole instance first.
+        lines = stdout.splitlines()
+        assert len(lines) == len(expected)
+        for line, p in zip(lines, expected):
+            assert line.startswith(
+                f"d={p.d} s={p.s} t={p.t} n={p.n} A={p.A} B={p.B} m={p.m} queries={p.m} "
+            )
+            assert " mean_visits=" in line and " max_visits=" in line
         # Every row's k equals the t of its instance.
         by_n_t = {p.n: p.t for p in expected}
         for r in rows:

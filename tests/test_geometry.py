@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import point_rows
 from srlb.errors import (
     ArithmeticOverflow,
     DimensionMismatch,
@@ -38,6 +39,12 @@ def reference_generate_hyperplanes(params):
         *([range(1, params.A + 1)] * (params.d - 1) + [range(1, params.B + 1)])
     )
     return [Hyperplane(a=c[:-1], b=c[-1]) for c in coeffs]
+
+
+def reference_generate_points(params):
+    """The grid as a list of tuples, enumerated by itertools (the oracle)."""
+    axes = [range(1, params.s + 1)] * (params.d - 1) + [range(1, params.rows + 1)]
+    return list(itertools.product(*axes))
 
 
 # A crafted d must be answered or refused without building a d-bit integer;
@@ -212,11 +219,26 @@ class TestLargestValidRichness:
 
 
 class TestGeneratePoints:
+    @pytest.mark.parametrize("d,n,t", [
+        (2, 16, 2), (2, 30, 3), (3, 96, 4), (4, 1024, 64), (5, 320, 16), (5, 2**12, 81),
+        # The instances of the three benchmark workloads.
+        *((2, 2**e, s) for e, s in zip(range(7, 13), (5, 8, 11, 16, 22, 32))),
+        (3, 2**10, 25), (3, 2**11, 16),
+    ])
+    def test_table_matches_the_oracle(self, d, n, t):
+        params = normalize_params(d, n, t)
+        table = generate_points(params)
+        assert table.shape == (params.n, params.d)
+        assert point_rows(table) == reference_generate_points(params)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
     def test_planar_lattice(self, d2_instance):
         _, points, _ = d2_instance
-        assert len(points) == 16
-        assert points[0] == (1, 1)
-        assert points[-1] == (2, 8)
+        rows = point_rows(points)
+        assert len(rows) == 16
+        assert rows[0] == (1, 1)
+        assert rows[-1] == (2, 8)
 
     def test_3d_extent(self, d3_instance):
         params, points, _ = d3_instance
@@ -227,13 +249,13 @@ class TestGeneratePoints:
     @pytest.mark.parametrize("d,n,t", [(2, 16, 2), (3, 96, 4), (2, 30, 3), (4, 1024, 64)])
     def test_count_and_uniqueness(self, d, n, t):
         params = normalize_params(d, n, t)
-        points = generate_points(params)
+        points = point_rows(generate_points(params))
         assert len(points) == params.n
         assert len(set(points)) == params.n
 
     def test_deterministic(self, d2_instance):
         params, points, _ = d2_instance
-        assert generate_points(params) == points
+        assert point_rows(generate_points(params)) == point_rows(points)
 
 
 class TestGenerateHyperplanes:
@@ -424,7 +446,7 @@ class TestEvalAndIncidence:
         for h in hyperplanes:
             parametric = incident_points(h, params)
             assert len(parametric) == 4
-            scanned = [p for p in points if incident(h, p)]
+            scanned = [p for p in point_rows(points) if incident(h, p)]
             assert sorted(parametric) == sorted(scanned)
 
     @pytest.mark.parametrize("d,n,t", [(2, 16, 2), (2, 1024, 22), (3, 96, 4), (4, 1024, 64)])
@@ -448,7 +470,7 @@ class TestConstructionProperties:
     @pytest.mark.parametrize("d,n,t", [(2, 16, 2), (3, 96, 4), (2, 256, 8), (3, 648, 36)])
     def test_parametric_predicate_agreement(self, d, n, t):
         params = normalize_params(d, n, t)
-        points = generate_points(params)
+        points = point_rows(generate_points(params))
         for h in generate_hyperplanes(params):
             via_scan = {p for p in points if incident(h, p)}
             assert set(incident_points(h, params)) == via_scan
@@ -464,5 +486,5 @@ class TestConstructionProperties:
 
     def test_generation_is_pure(self):
         params = normalize_params(3, 96, 4)
-        assert generate_points(params) == generate_points(params)
+        assert point_rows(generate_points(params)) == point_rows(generate_points(params))
         assert generate_hyperplanes(params) == generate_hyperplanes(params)

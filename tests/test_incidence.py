@@ -7,7 +7,7 @@ import pytest
 
 import srlb.exact
 import srlb.incidence
-from conftest import from_rows
+from conftest import from_rows, point_rows
 from srlb.errors import (
     ArithmeticOverflow,
     DimensionMismatch,
@@ -115,7 +115,7 @@ class TestBuildIncidenceGraph:
     def test_agrees_with_parametric_route(self, d3_instance, d3_graph):
         params, points, hyperplanes = d3_instance
         _, graph = d3_graph
-        index = {p: i for i, p in enumerate(points)}
+        index = {p: i for i, p in enumerate(point_rows(points))}
         for h, row in zip(hyperplanes, graph.adjacency):
             expected = sorted(index[p] for p in incident_points(h, params))
             assert list(row) == expected
@@ -275,6 +275,7 @@ def _family(d, n, t):
 
 def _shuffled_with_duplicates():
     points, hyperplanes = _family(3, 96, 4)
+    points = point_rows(points)
     rng = random.Random(3)
     points = points + rng.sample(points, 20) + points[:3]
     rng.shuffle(points)
@@ -416,8 +417,10 @@ def _check_sort_join(case):
     assert (family is None) == (case == "coefficient_leaves_int64")
     # The same hyperplanes as objects and, where they fit int64, as columns.
     inputs = [objects] if family is None else [objects, family]
+    # The reference scans tuples; the join also takes a family's point table.
+    rows = point_rows(points) if isinstance(points, np.ndarray) else points
     try:
-        expected = naive_incidence_graph(points, objects)
+        expected = naive_incidence_graph(rows, objects)
     except ArithmeticOverflow as exc:
         text = str(exc)
         if family is None:  # refused by the conversion, which names no hyperplane
@@ -534,7 +537,7 @@ def test_charge_verify_bounds_the_traced_peak(traced_peak, d, n, t, stored):
     params = largest_valid_richness(d, n) if t == "auto" else normalize_params(d, n, t)
     doc = InstanceDocument(params=params, points=None, hyperplanes=None)
     if stored:
-        points = generate_points(params)
+        points = point_rows(generate_points(params))
         points += points[:5]
         random.Random(17).shuffle(points)
         doc = InstanceDocument(params, points, generate_hyperplanes(params))

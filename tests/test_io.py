@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import srlb.io
-from conftest import reference_instance_to_dict
+from conftest import point_rows, reference_instance_to_dict
 from srlb.cli import main
 from srlb.errors import ArithmeticOverflow, DimensionMismatch
 from srlb.exact import INT64_MAX, INT64_MIN
@@ -31,16 +31,6 @@ from srlb.io import (
     save_instance,
     stats_row,
 )
-
-
-def point_rows(table):
-    """A loaded point table as a list of tuples (None stays None), after
-    checking that it is a read-only (n, d) int64 table."""
-    if table is None:
-        return None
-    assert isinstance(table, np.ndarray) and table.dtype == np.int64 and table.ndim == 2
-    assert not table.flags.writeable
-    return list(map(tuple, table.tolist()))
 
 
 class TestParamsSchema:
@@ -70,7 +60,7 @@ class TestInstanceSchema:
         save_instance(path, params, points, hyperplanes)
         doc = load_instance(path)
         assert doc.params == params
-        assert point_rows(doc.points) == points
+        assert point_rows(doc.points) == point_rows(points)
         assert doc.hyperplanes == hyperplanes
 
     def test_loaded_document_saves_back(self, tmp_path, d3_instance):
@@ -190,7 +180,9 @@ class TestWriter:
         expected = json.dumps(reference_instance_to_dict(params, points, hyperplanes))
         assert path.read_bytes() == expected.encode()
         doc = load_instance(path)
-        assert point_rows(doc.points) == (None if points is None else list(points))
+        # A generated case passes its points as a table, the others as tuples.
+        expected = points if points is None or isinstance(points, list) else point_rows(points)
+        assert point_rows(doc.points) == expected
         assert doc.hyperplanes is None or list(doc.hyperplanes) == list(hyperplanes)
 
     @pytest.mark.parametrize(
@@ -515,7 +507,7 @@ class TestColumnarLoader:
         doc = load_instance(out)
         params = normalize_params(d, n, t)
         assert parsed == [json.dumps(params_to_dict(params)).encode()]
-        assert point_rows(doc.points) == generate_points(params)
+        assert point_rows(doc.points) == point_rows(generate_points(params))
         assert doc.hyperplanes == generate_hyperplanes(params)
 
     @pytest.mark.parametrize("d,n,t", [(2, 4096, 16), (3, 2048, 16), (4, 4096, 64)])

@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+import srlb.reporting
+from conftest import point_rows
 from srlb.errors import ArithmeticOverflow, DimensionMismatch, EmptyInput
 from srlb.exact import INT64_MAX, INT64_MIN
 from srlb.geometry import (
@@ -148,6 +150,13 @@ class TestBuildKdTree:
     def test_bad_leaf_capacity(self):
         with pytest.raises(ValueError):
             build_kdtree([(1, 2)], leaf_capacity=0)
+
+    def test_more_points_than_the_cap(self, monkeypatch):
+        # The build's sort keys slice * n + rank fit int64 up to MAX_POINTS.
+        monkeypatch.setattr(srlb.reporting, "MAX_POINTS", 3)
+        assert build_kdtree([(1, 2)] * 3, leaf_capacity=1).n == 3
+        with pytest.raises(ArithmeticOverflow):
+            build_kdtree([(1, 2)] * 4, leaf_capacity=1)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 100, 1000])
     @pytest.mark.parametrize("leaf_capacity", [1, 4, 16])
@@ -293,7 +302,7 @@ class TestBruteForceOracle:
     def test_whole_grid(self, d2_instance):
         _, points, _ = d2_instance
         q = SimplexQuery((Halfspace(normal=(0, 1), offset=100, sense="le"),))
-        assert brute_force_query(points, q) == points
+        assert brute_force_query(points, q) == point_rows(points)
 
     def test_empty_points(self):
         q = SimplexQuery((Halfspace(normal=(0, 1), offset=100, sense="le"),))
@@ -312,6 +321,50 @@ class TestBruteForceOracle:
         for q in random_simplex_queries(params, 200, rng):
             reported, _ = query(tree, q)
             assert set(reported) == set(brute_force_query(points, q))
+
+
+def _table_inputs():
+    """(d, points as tuples): small and int64-limit coordinates at d = 1..5,
+    and shuffled grids."""
+    rng = random.Random(41)
+    extremes = (INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX)
+    for d in range(1, 6):
+        for n in (1, 7, 60, 300):
+            yield d, [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(n)]
+            yield d, [tuple(rng.choice(extremes) for _ in range(d)) for _ in range(n)]
+    for d, n, t in [(2, 256, 8), (3, 1000, 25), (4, 1024, 64), (5, 320, 16)]:
+        grid = point_rows(generate_points(normalize_params(d, n, t)))
+        rng.shuffle(grid)
+        yield d, grid
+
+
+class TestPointTables:
+    """A point table and the same points as tuples give one tree and one answer."""
+
+    def test_same_tree(self):
+        rng = random.Random(43)
+        for d, points in _table_inputs():
+            leaf_capacity = rng.randint(1, 20)
+            tree = build_kdtree(np.array(points, dtype=np.int64), leaf_capacity)
+            assert tree == build_kdtree(points, leaf_capacity)
+            assert all(type(p) is tuple for p in tree.points)
+
+    def test_same_brute_force_lists(self):
+        rng = random.Random(47)
+        for d, points in _table_inputs():
+            table = np.array(points, dtype=np.int64)
+            for q in [_random_query(rng, d) for _ in range(10)]:
+                try:
+                    expected = brute_force_query(points, q)
+                except ArithmeticOverflow:
+                    with pytest.raises(ArithmeticOverflow):
+                        brute_force_query(table, q)
+                    continue
+                # The points that pass every test, in input order, as tuples.
+                assert expected == [
+                    p for p in points if all(h.contains(p) for h in q.constraints)
+                ]
+                assert brute_force_query(table, q) == expected
 
 
 class TestOracleEnvelope:
@@ -582,7 +635,9 @@ class TestHeapLayoutMatchesObjectGraph:
         rng = random.Random(n)
         queries = [slab_query_for(hyperplane_at(params, i)) for i in range(0, params.m, 5)]
         queries += random_simplex_queries(params, 20, rng)
-        assert_matches_reference(generate_points(params), 4, queries)
+        table = generate_points(params)
+        assert build_kdtree(table) == build_kdtree(point_rows(table))
+        assert_matches_reference(point_rows(table), 4, queries)
 
 
 def test_build_leaves_no_cyclic_garbage(d3_instance):
