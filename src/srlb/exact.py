@@ -87,10 +87,7 @@ def int64_rows(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarr
 
     Every row must be a list or tuple of exactly `width` values; a length
     check alone would pass the str "12" or a dict, whose keys it yields.
-    An int64 table of that width, such as loaded points, passes as it is.
     """
-    if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.shape[1:] == (width,):
-        return rows
     if not (
         isinstance(rows, (list, tuple))
         and all(issubclass(kind, (list, tuple)) for kind in set(map(type, rows)))

@@ -17,33 +17,25 @@ import itertools
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import ArithmeticOverflow, DimensionMismatch, PointEscapesGrid, RangeTooTight
-from .exact import INT64_MAX, MAX_POINTS, check_int64, checked_dot, int64_rows, iroot
+from .exact import INT64_MAX, MAX_POINTS, check_int64, checked_dot, iroot
 
 # A grid point is a plain tuple of d integers; coordinate i < d-1 ranges over
 # {1..s} and the last coordinate over {1..n/t}.
 GridPoint = tuple[int, ...]
 
 
-def point_table(points: Union[np.ndarray, Sequence[GridPoint]]) -> np.ndarray:
-    """points as an (n, d) int64 table: a table as it is, tuples converted once.
-
-    The tuples must share one length (DimensionMismatch otherwise; none at
-    all give a (0, 0) table), and a coordinate outside int64 raises
-    ArithmeticOverflow.  A table of another dtype or shape is a ValueError.
-    """
-    if isinstance(points, np.ndarray):
-        if points.dtype != np.int64 or points.ndim != 2:
-            raise ValueError("need an int64 point table of shape (n, d)")
-        return points
-    dims = set(map(len, points)) or {0}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"mixed dimensions in input: {sorted(dims)}")
-    return int64_rows(points, dims.pop(), "point coordinates")
+def point_table(points: np.ndarray) -> np.ndarray:
+    """points, once checked to be an (n, d) int64 table with d >= 1, the one
+    form in which the library takes points; anything else is a ValueError."""
+    if not (isinstance(points, np.ndarray) and points.dtype == np.int64
+            and points.ndim == 2 and points.shape[1] >= 1):
+        raise ValueError("need an int64 point table of shape (n, d), d >= 1")
+    return points
 
 
 @dataclass(frozen=True)
@@ -142,14 +134,11 @@ class Hyperplane:
 class HyperplaneFamily(Sequence[Hyperplane]):
     """Hyperplanes held as int64 columns: slopes (m, d-1) and offsets (m,).
 
-    A read-only sequence of Hyperplane: an int index builds one object, a
-    slice gives a family over views of the columns, and iteration builds
-    the objects from one tolist() per column.  Every coefficient is checked
-    to be >= 1 at construction, with the message Hyperplane gives for the
-    first row that is not.  The arrays are frozen in place, not copied, so
-    nothing may write to them or their bases later.  Families compare equal
-    when their columns are equal; unhashable.  HyperplaneFamily.of is the
-    one place where a sequence of Hyperplane objects becomes columns.
+    A read-only sequence of Hyperplane: an int index builds one object, and
+    iteration builds the objects from one tolist() per column.  Every
+    coefficient is checked to be >= 1 at construction, with the message
+    Hyperplane gives for the first row that is not.  The arrays are frozen
+    in place, not copied, so nothing may write to them or their bases later.
     """
 
     def __init__(self, slopes: np.ndarray, offsets: np.ndarray) -> None:
@@ -165,25 +154,6 @@ class HyperplaneFamily(Sequence[Hyperplane]):
         slopes.flags.writeable = offsets.flags.writeable = False
         self.slopes, self.offsets = slopes, offsets
 
-    @classmethod
-    def of(cls, hyperplanes: Sequence[Hyperplane]) -> HyperplaneFamily:
-        """hyperplanes as a family: a family as it is, objects converted once.
-
-        The objects must share one dimension (DimensionMismatch otherwise;
-        none at all give an empty planar family), and a coefficient outside
-        int64 raises ArithmeticOverflow.
-        """
-        if isinstance(hyperplanes, cls):
-            return hyperplanes
-        dims = {h.d for h in hyperplanes} or {2}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"mixed dimensions in input: {sorted(dims)}")
-        offsets = [h.b for h in hyperplanes]
-        return cls(
-            int64_rows([h.a for h in hyperplanes], dims.pop() - 1, "hyperplane coefficients"),
-            int64_rows([offsets], len(offsets), "hyperplane offsets")[0],
-        )
-
     @property
     def d(self) -> int:
         return self.slopes.shape[1] + 1
@@ -191,23 +161,12 @@ class HyperplaneFamily(Sequence[Hyperplane]):
     def __len__(self) -> int:
         return len(self.offsets)
 
-    def __getitem__(self, index: Union[int, slice]) -> Union[Hyperplane, "HyperplaneFamily"]:
-        if isinstance(index, slice):
-            return HyperplaneFamily(self.slopes[index], self.offsets[index])
+    def __getitem__(self, index: int) -> Hyperplane:
         index = operator.index(index)
         return Hyperplane(tuple(self.slopes[index].tolist()), int(self.offsets[index]))
 
     def __iter__(self) -> Iterator[Hyperplane]:
         return map(Hyperplane, map(tuple, self.slopes.tolist()), self.offsets.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HyperplaneFamily):
-            return NotImplemented
-        return np.array_equal(self.slopes, other.slopes) and np.array_equal(
-            self.offsets, other.offsets
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def normalize_params(d: int, n_requested: int, t_requested: int) -> InstanceParams:

@@ -16,15 +16,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ArithmeticOverflow, DimensionMismatch
 from .exact import INT64_MAX, MAX_POINTS, charge, check_int64, envelope
 from .geometry import (
-    GridPoint,
-    Hyperplane,
     HyperplaneFamily,
     InstanceParams,
     eval_hyperplane,
@@ -116,28 +114,26 @@ def _first_row_over(family: HyperplaneFamily, max_abs: Sequence[int]) -> int:
     return next(over, len(family))
 
 
-def build_incidence_graph(
-    points: Union[np.ndarray, Sequence[GridPoint]], hyperplanes: Sequence[Hyperplane]
-) -> IncidenceGraph:
+def build_incidence_graph(points: np.ndarray, family: HyperplaneFamily) -> IncidenceGraph:
     """Incidence graph as an exact sort-join of hyperplane values and points.
 
     Deliberately ignores the parametric structure so it can cross-check
-    incident_points().  The points are converted once with point_table, the
-    hyperplanes with HyperplaneFamily.of, and both are joined as int64
-    tables; ArithmeticOverflow names the first hyperplane whose value could
-    wrap (_first_row_over).  One stable lexsort orders the points by (base
-    X_1..X_{d-1}, X_d, index); the places where the base changes group them
-    into u distinct bases.  Each hyperplane is evaluated once per base (the
-    predicate X_d == b + sum(a_i * X_i)), base-major, as bases @ slopes.T +
-    offsets, so the matched values come out grouped by base, and each is
-    matched by binary search against the points with that base.  This costs
-    O(m*u*log n + incidences) instead of testing all n*m pairs; in the grid
-    family u = t.  Once u is known it charges the m*u evaluations and the first
-    block's scratch, BLOCK_VALUE_BYTES per value, and before each block's
-    output the incidences so far, INCIDENCE_BYTES each.
+    incident_points().  The point table (point_table) and the family's
+    columns are joined as int64 tables; ArithmeticOverflow names the first
+    hyperplane whose value could wrap (_first_row_over).  One stable lexsort
+    orders the points by (base X_1..X_{d-1}, X_d, index); the places where
+    the base changes group them into u distinct bases.  Each hyperplane is
+    evaluated once per base (the predicate X_d == b + sum(a_i * X_i)),
+    base-major, as bases @ slopes.T + offsets, so the matched values come
+    out grouped by base, and each is matched by binary search against the
+    points with that base.  This costs O(m*u*log n + incidences) instead of
+    testing all n*m pairs; in the grid family u = t.  Once u is known it
+    charges the m*u evaluations and the first block's scratch,
+    BLOCK_VALUE_BYTES per value, and before each block's output the
+    incidences so far, INCIDENCE_BYTES each.
     The pair-by-pair scan it replaced is kept in the tests as the reference.
     """
-    family, coords = HyperplaneFamily.of(hyperplanes), point_table(points)
+    coords = point_table(points)
     n, m = len(coords), len(family)
     dims = ({family.d} if m else set()) | ({coords.shape[1]} if n else set())
     if len(dims) > 1:
@@ -291,14 +287,13 @@ def verify_instance(doc: InstanceDocument) -> dict:
     the top corner of the base.  Sections missing from the document are
     regenerated from params once charge_verify has admitted them; a stored
     section need not match params, so the join and pair_coverage charge
-    what they allocate by its actual size.  The hyperplanes are converted
-    once, and the join and the containment check share them.
+    what they allocate by its actual size.  The join and the containment
+    check share one family.
     """
     params = doc.params
     charge_verify(params)
     points = doc.points if doc.points is not None else generate_points(params)
-    hyperplanes = doc.hyperplanes if doc.hyperplanes is not None else generate_hyperplanes(params)
-    family = HyperplaneFamily.of(hyperplanes)
+    family = doc.hyperplanes if doc.hyperplanes is not None else generate_hyperplanes(params)
     graph = build_incidence_graph(points, family)
     histogram = richness_histogram(graph)
     max_common, _ = pair_coverage(graph)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SrlbError
 from .exact import INT64_MAX, int64_rows
-from .geometry import GridPoint, Hyperplane, HyperplaneFamily, InstanceParams
+from .geometry import HyperplaneFamily, InstanceParams, point_table
 from .reporting import QueryStats
 
 PathLike = Union[str, Path]
@@ -35,20 +35,20 @@ WRITE_BLOCK = 1 << 16  # rows that save_instance formats with one %
 STATS_HEADER = ("n", "d", "query_id", "k", "nodes_visited", "leaves_scanned", "points_tested")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstanceDocument:
     """An instance as stored on disk; points/hyperplanes may be absent.
 
-    A loaded document holds its points as an (n, d) int64 table and its
-    hyperplanes as a HyperplaneFamily.  A point table is frozen in place.
+    The points are an (n, d) int64 table, frozen in place, and the
+    hyperplanes a HyperplaneFamily.  Documents compare by identity.
     """
 
     params: InstanceParams
-    points: Optional[Union[np.ndarray, Sequence[GridPoint]]]
-    hyperplanes: Optional[Sequence[Hyperplane]]
+    points: Optional[np.ndarray]
+    hyperplanes: Optional[HyperplaneFamily]
 
     def __post_init__(self) -> None:
-        if isinstance(self.points, np.ndarray):
+        if self.points is not None:
             self.points.flags.writeable = False
 
 
@@ -99,19 +99,21 @@ def instance_from_dict(doc: dict) -> InstanceDocument:
 
 
 def save_instance(
-    path: PathLike, params: InstanceParams, points: Optional[Sequence[GridPoint]] = None,
-    hyperplanes: Optional[Sequence[Hyperplane]] = None,
+    path: PathLike, params: InstanceParams, points: Optional[np.ndarray] = None,
+    hyperplanes: Optional[HyperplaneFamily] = None,
 ) -> None:
     """Write json.dumps's bytes for the document from int64 tables, WRITE_BLOCK rows
-    per %.  Rows no loader takes back raise before the file opens, leaving none."""
+    per %.  Sections no loader takes back raise before the file opens, leaving none."""
     sections = {}  # key -> (a row of zeros, the int64 table of the rows)
     if points is not None:
-        sections["points"] = ([0] * params.d, int64_rows(points, params.d, "point coordinates"))
+        if point_table(points).shape[1] != params.d:
+            raise ValueError(f"points of width {points.shape[1]} in an instance of d = {params.d}")
+        sections["points"] = ([0] * params.d, points)
     if hyperplanes is not None:
-        family = HyperplaneFamily.of(hyperplanes)
-        if len(family) and family.d != params.d:
-            raise ValueError(f"hyperplanes of d = {family.d} in an instance of d = {params.d}")
-        table = np.column_stack((family.slopes, family.offsets))
+        d = hyperplanes.d
+        if len(hyperplanes) and d != params.d:
+            raise ValueError(f"hyperplanes of d = {d} in an instance of d = {params.d}")
+        table = np.column_stack((hyperplanes.slopes, hyperplanes.offsets))
         sections["hyperplanes"] = ({"a": [0] * (params.d - 1), "b": 0}, table)
     with open(path, "w") as fh:
         fh.write('{"params": ' + json.dumps(params_to_dict(params)))
@@ -219,12 +221,14 @@ def load_instance(path: PathLike) -> InstanceDocument:
     """The instance stored at path.
 
     A file in save_instance's grammar is parsed straight into int64 tables
-    (_columnar_document); any other file, a hand-edited one say, goes
-    through instance_from_dict(json.loads(text)).  Either way the document,
-    or the error, is the one that json path gives.
+    (_columnar_document); any other file, a hand-edited one say, is decoded
+    as UTF-8 with an optional byte-order mark and goes through
+    instance_from_dict(json.loads(text)).  Either way the document, or the
+    error, is the one that json path gives.
     """
-    doc = _columnar_document(Path(path).read_bytes())
-    return doc if doc is not None else instance_from_dict(json.loads(Path(path).read_text()))
+    raw = Path(path).read_bytes()
+    doc = _columnar_document(raw)
+    return doc if doc is not None else instance_from_dict(json.loads(raw.decode("utf-8-sig")))
 
 
 def format_stat(value: Union[int, float]) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -149,18 +149,8 @@ class KdTree:
     def node_count(self) -> int:
         return len(self.boxes) - self.boxes.count(None)
 
-    @property
-    def leaf_count(self) -> int:
-        return (self.node_count + 1) // 2  # every inner node has two children
 
-    @property
-    def depth(self) -> int:
-        return len(self.boxes).bit_length()
-
-
-def build_kdtree(
-    points: Union[np.ndarray, Sequence[GridPoint]], leaf_capacity: int = DEFAULT_LEAF_CAPACITY
-) -> KdTree:
+def build_kdtree(points: np.ndarray, leaf_capacity: int = DEFAULT_LEAF_CAPACITY) -> KdTree:
     """Balanced kd-tree: median splits with axes cycling 0, 1, ..., d-1.
 
     Median ties are broken by point index, so the build is deterministic
@@ -168,7 +158,7 @@ def build_kdtree(
     coordinate in the left subtree is <= every coordinate in the right,
     with the tie-broken index order deciding equal coordinates.
 
-    The tree is built level by level over point_table(points): one argsort
+    The tree is built level by level over the point table: one argsort
     of slice * n + rank orders every inner slice at depth l by its points'
     ranks in (coordinate on axis l mod d, index) order, taken once per axis;
     an inner slice holds two points or more, so keys < n**2 / 2 <= 2**63.
@@ -308,10 +298,8 @@ def slab_query_for(h: Hyperplane) -> SimplexQuery:
     )
 
 
-def brute_force_query(
-    points: Union[np.ndarray, Sequence[GridPoint]], q: SimplexQuery
-) -> list[GridPoint]:
-    """Ground-truth scan of point_table(points), exact; reports tuples in input order."""
+def brute_force_query(points: np.ndarray, q: SimplexQuery) -> list[GridPoint]:
+    """Ground-truth scan of the point table, exact; reports tuples in input order."""
     coords = point_table(points)
     if not len(coords):
         return []

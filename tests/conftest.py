@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from srlb.errors import SrlbError
-from srlb.geometry import generate_hyperplanes, generate_points, normalize_params
+from srlb.geometry import HyperplaneFamily, generate_hyperplanes, generate_points, normalize_params
 from srlb.incidence import IncidenceGraph, build_incidence_graph
 from srlb.io import params_to_dict
 
@@ -32,6 +32,22 @@ def from_rows(*, point_count, hyperplane_count, adjacency):
     return IncidenceGraph(point_count=point_count, indptr=indptr, indices=indices)
 
 
+def as_table(rows, d=None):
+    """Point tuples as a read-only (n, d) int64 table, as generate_points
+    gives; d is the first row's length unless given, as for no rows."""
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), d or len(rows[0]))
+    table.flags.writeable = False
+    return table
+
+
+def as_family(hyperplanes, d=None):
+    """Hyperplane objects as the HyperplaneFamily that the library takes; d
+    is the first one's dimension unless given, as it must be for none."""
+    d = d or hyperplanes[0].d
+    slopes = np.array([h.a for h in hyperplanes], dtype=np.int64).reshape(len(hyperplanes), d - 1)
+    return HyperplaneFamily(slopes, np.array([h.b for h in hyperplanes], dtype=np.int64))
+
+
 def point_rows(table):
     """A point table as a list of tuples (None stays None), after checking
     that it is a read-only, C-contiguous (n, d) int64 table."""
@@ -44,12 +60,10 @@ def point_rows(table):
 
 def reference_instance_to_dict(params, points=None, hyperplanes=None):
     """The JSON document of an instance, absent sections left out, built
-    object by object: json.dumps of it is the byte oracle of io.save_instance.
-    points may be tuples or a point table."""
+    object by object: json.dumps of it is the byte oracle of io.save_instance."""
     doc = {"params": params_to_dict(params)}
     if points is not None:
-        rows = point_rows(points) if isinstance(points, np.ndarray) else points
-        doc["points"] = [list(p) for p in rows]
+        doc["points"] = [list(p) for p in point_rows(points)]
     if hyperplanes is not None:
         doc["hyperplanes"] = [{"a": list(h.a), "b": h.b} for h in hyperplanes]
     return doc

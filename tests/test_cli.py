@@ -2,7 +2,6 @@ import functools
 import json
 import random
 
-import numpy as np
 import pytest
 
 import srlb.bench
@@ -18,7 +17,6 @@ from srlb.geometry import (
     generate_points,
     largest_valid_richness,
     normalize_params,
-    point_table,
 )
 from srlb.errors import InstanceTooLarge
 from srlb.incidence import IncidenceGraph, charge_verify, verify_instance
@@ -326,15 +324,9 @@ class TestVerifyRecorded:
             raise AssertionError(f"verify built {type(self).__name__} objects")
 
         # Nor a point tuple: loaded or regenerated (d2_bare_params), the
-        # points reach the join as a table.
-        def table_only(points):
-            if not isinstance(points, np.ndarray):
-                raise AssertionError("verify built point tuples")
-            return point_table(points)
-
+        # points reach the join as a table, as point_table admits nothing else.
         monkeypatch.setattr(IncidenceGraph, "adjacency", property(refuse))
         monkeypatch.setattr(Hyperplane, "__post_init__", refuse)
-        monkeypatch.setattr(srlb.incidence, "point_table", table_only)
         report = verify_instance(load_instance(path))
         rc, stdout, _ = run_cli(capsys, "verify", str(path))
         assert (rc, stdout) == RECORDED_VERIFY[name]

@@ -361,50 +361,14 @@ class TestHyperplaneFamily:
         for i in (params.m, -params.m - 1):
             with pytest.raises(IndexError):
                 family[i]
-        for i in (1.0, "1", [1, 2], None):
+        for i in (1.0, "1", [1, 2], None, slice(3, 9)):
             with pytest.raises(TypeError):
                 family[i]
-        for cut in (slice(None), slice(3, 9), slice(None, None, -1), slice(-5, None, 2),
-                    slice(9, 3), slice(200, 300)):
-            part = family[cut]
-            assert isinstance(part, HyperplaneFamily)
-            assert list(part) == oracle[cut]
-            assert len(part) == len(oracle[cut])
 
-    def test_equality_by_columns(self, d3_instance):
+    def test_compares_by_identity(self, d3_instance):
         params, _, family = d3_instance
-        assert family == generate_hyperplanes(params)
-        assert family == HyperplaneFamily(family.slopes.copy(), family.offsets.copy())
-        assert family != family[1:]
-        assert family != HyperplaneFamily(family.slopes.copy(), family.offsets[::-1].copy())
-        assert family != list(family)  # a family is not a list; compare list(family)
-        with pytest.raises(TypeError):
-            hash(family)
-
-    def test_of_converts_objects_once_and_keeps_a_family(self, d3_instance):
-        params, _, family = d3_instance
-        assert HyperplaneFamily.of(family) is family
-        converted = HyperplaneFamily.of(reference_generate_hyperplanes(params))
-        assert isinstance(converted, HyperplaneFamily) and converted == family
-        edge = [Hyperplane(a=(INT64_MAX, 1), b=INT64_MAX)]
-        assert list(HyperplaneFamily.of(edge)) == edge
-        empty = HyperplaneFamily.of([])
-        assert (len(empty), list(empty)) == (0, [])
-
-    @pytest.mark.parametrize(
-        "hyperplanes,error,message",
-        [
-            ([Hyperplane(a=(1,), b=1), Hyperplane(a=(1, 1), b=1)], DimensionMismatch,
-             r"^mixed dimensions in input: \[2, 3\]$"),
-            ([Hyperplane(a=(1,), b=1), Hyperplane(a=(2**63,), b=1)], ArithmeticOverflow,
-             "^hyperplane coefficients exceeds"),
-            ([Hyperplane(a=(1,), b=2**63)], ArithmeticOverflow, "^hyperplane offsets exceeds"),
-        ],
-        ids=["mixed_dimensions", "slope_beyond_int64", "offset_beyond_int64"],
-    )
-    def test_of_refuses_what_no_table_holds(self, hyperplanes, error, message):
-        with pytest.raises(error, match=message):
-            HyperplaneFamily.of(hyperplanes)
+        assert family == family and family != generate_hyperplanes(params)
+        assert hash(family) == hash(family)
 
 
 class TestEvalAndIncidence:
@@ -487,4 +451,4 @@ class TestConstructionProperties:
     def test_generation_is_pure(self):
         params = normalize_params(3, 96, 4)
         assert point_rows(generate_points(params)) == point_rows(generate_points(params))
-        assert generate_hyperplanes(params) == generate_hyperplanes(params)
+        assert list(generate_hyperplanes(params)) == list(generate_hyperplanes(params))

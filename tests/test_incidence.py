@@ -7,7 +7,7 @@ import pytest
 
 import srlb.exact
 import srlb.incidence
-from conftest import from_rows, point_rows
+from conftest import as_family, as_table, from_rows, point_rows
 from srlb.errors import (
     ArithmeticOverflow,
     DimensionMismatch,
@@ -17,7 +17,6 @@ from srlb.errors import (
 from srlb.exact import INT64_MAX, INT64_MIN, check_int64, envelope, int64_rows
 from srlb.geometry import (
     Hyperplane,
-    HyperplaneFamily,
     InstanceParams,
     eval_hyperplane,
     generate_hyperplanes,
@@ -28,6 +27,7 @@ from srlb.geometry import (
 )
 from srlb.incidence import (
     IncidenceGraph,
+    _contained_at_top_corner,
     bound_report,
     build_incidence_graph,
     charge_verify,
@@ -94,23 +94,23 @@ class TestBuildIncidenceGraph:
         assert graph.total_incidences == 512
 
     def test_single_nonincident_pair(self):
-        graph = build_incidence_graph([(1, 5)], [Hyperplane(a=(1,), b=1)])
+        graph = build_incidence_graph(as_table([(1, 5)]), as_family([Hyperplane(a=(1,), b=1)]))
         assert graph.adjacency == ((),)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            build_incidence_graph([(1, 1, 1)], [Hyperplane(a=(1,), b=1)])
+            build_incidence_graph(as_table([(1, 1, 1)]), as_family([Hyperplane(a=(1,), b=1)]))
 
     def test_envelope_guard_on_foreign_hyperplane(self):
         with pytest.raises(ArithmeticOverflow):
-            build_incidence_graph([(2, 3)], [Hyperplane(a=(INT64_MAX,), b=1)])
+            build_incidence_graph(as_table([(2, 3)]), as_family([Hyperplane(a=(INT64_MAX,), b=1)]))
 
     @pytest.mark.parametrize("slope", [1, 3])
     def test_envelope_guard_on_int64_min_coordinate(self, slope):
         # |INT64_MIN| itself leaves int64; with slope 3, b + a*x wraps onto X_d.
         point = (-(2**63), -(2**63) + 1)
         with pytest.raises(ArithmeticOverflow):
-            build_incidence_graph([point], [Hyperplane(a=(slope,), b=1)])
+            build_incidence_graph(as_table([point]), as_family([Hyperplane(a=(slope,), b=1)]))
 
     def test_agrees_with_parametric_route(self, d3_instance, d3_graph):
         params, points, hyperplanes = d3_instance
@@ -334,12 +334,6 @@ def _second_hyperplane_overflows():
     return [(2, 3), (1, 2)], [Hyperplane(a=(1,), b=1), Hyperplane(a=(INT64_MAX,), b=1)]
 
 
-def _coefficient_leaves_int64():
-    # 2**63 cannot even be converted to int64: HyperplaneFamily.of refuses it
-    # before any bound is checked, while the naive scan names its bound.
-    return [(2, 3), (1, 2)], [Hyperplane(a=(1,), b=1), Hyperplane(a=(2**63,), b=1)]
-
-
 def _middle_and_last_overflow():
     # Both bounds leave int64 (|X_1| <= 2); the first over is the middle one.
     hyperplanes = [Hyperplane(a=(1,), b=1), Hyperplane(a=(INT64_MAX,), b=1),
@@ -378,7 +372,6 @@ SORT_JOIN_INPUTS = {
     "all_bases_distinct": _distinct_bases,
     "family_bound_overflows_each_fits": _family_bound_overflows,
     "second_hyperplane_overflows": _second_hyperplane_overflows,
-    "coefficient_leaves_int64": _coefficient_leaves_int64,
     "middle_and_last_overflow": _middle_and_last_overflow,
     "int64_min_base_coordinate": _int64_min_base,
     "shuffled_d4_bases_tie_on_leading_coordinates": _bases_tie_on_leading_coordinates,
@@ -399,42 +392,23 @@ def test_sort_join_in_small_blocks_matches_naive_scan(case, monkeypatch):
     _check_sort_join(case)
 
 
-def as_family(hyperplanes, d):
-    """The hyperplanes as a HyperplaneFamily of dimension d, or None when a
-    coefficient leaves int64."""
-    try:
-        slopes = np.array([h.a for h in hyperplanes], dtype=np.int64)
-        offsets = np.array([h.b for h in hyperplanes], dtype=np.int64)
-    except OverflowError:
-        return None
-    return HyperplaneFamily(slopes.reshape(len(hyperplanes), d - 1), offsets)
-
-
 def _check_sort_join(case):
     points, hyperplanes = SORT_JOIN_INPUTS[case]()
     objects = list(hyperplanes)
-    family = as_family(objects, objects[0].d)
-    assert (family is None) == (case == "coefficient_leaves_int64")
-    # The same hyperplanes as objects and, where they fit int64, as columns.
-    inputs = [objects] if family is None else [objects, family]
-    # The reference scans tuples; the join also takes a family's point table.
+    # The reference scans tuples and objects; the join takes a table and a family.
     rows = point_rows(points) if isinstance(points, np.ndarray) else points
+    table, family = as_table(rows), as_family(objects)
     try:
         expected = naive_incidence_graph(rows, objects)
     except ArithmeticOverflow as exc:
-        text = str(exc)
-        if family is None:  # refused by the conversion, which names no hyperplane
-            text = "hyperplane coefficients exceeds the 64-bit safe envelope"
-        for given in inputs:
-            with pytest.raises(ArithmeticOverflow) as raised:
-                build_incidence_graph(points, given)
-            assert str(raised.value) == text
+        with pytest.raises(ArithmeticOverflow) as raised:
+            build_incidence_graph(table, family)
+        assert str(raised.value) == str(exc)
         # The scan names the first hyperplane to overflow.
         first = objects[1] if case == "middle_and_last_overflow" else objects[-1]
         assert str(first) in str(exc)
         return
-    for given in inputs:
-        assert build_incidence_graph(points, given) == expected
+    assert build_incidence_graph(table, family) == expected
     if case == "family_bound_overflows_each_fits":
         assert expected.adjacency == ((0, 2), (1, 2))
     else:
@@ -451,7 +425,7 @@ class TestRichnessHistogram:
         assert richness_histogram(graph) == {4: 128}
 
     def test_empty(self):
-        graph = build_incidence_graph([], [])
+        graph = build_incidence_graph(as_table([], 2), as_family([], 2))
         assert richness_histogram(graph) == {}
 
     def test_keys_and_counts_are_python_ints(self, d3_graph):
@@ -540,7 +514,7 @@ def test_charge_verify_bounds_the_traced_peak(traced_peak, d, n, t, stored):
         points = point_rows(generate_points(params))
         points += points[:5]
         random.Random(17).shuffle(points)
-        doc = InstanceDocument(params, points, generate_hyperplanes(params))
+        doc = InstanceDocument(params, as_table(points), generate_hyperplanes(params))
     report, peak = traced_peak(verify_instance, doc)
     assert report["richness_exact"] is not stored
     assert peak <= charge_verify(params)
@@ -582,31 +556,37 @@ CONTAINMENT_CASES = {
 }
 
 
+def _containment_case(case):
+    params = normalize_params(2, 16, 2)
+    hyperplanes = list(CONTAINMENT_CASES[case](params))
+    width = hyperplanes[0].d if hyperplanes else params.d
+    return params, hyperplanes, as_family(hyperplanes, width)
+
+
 @pytest.mark.parametrize("case", sorted(CONTAINMENT_CASES))
 def test_containment_matches_reference(case):
-    params = normalize_params(2, 16, 2)
-    _check_containment(params, CONTAINMENT_CASES[case](params))
+    params, hyperplanes, family = _containment_case(case)
+    _check_containment(hyperplanes, params, lambda: _contained_at_top_corner(family, params))
 
 
 @pytest.mark.parametrize("case", sorted(CONTAINMENT_CASES))
 def test_family_containment_matches_reference(case):
-    params = normalize_params(2, 16, 2)
-    hyperplanes = list(CONTAINMENT_CASES[case](params))
-    width = hyperplanes[0].d if hyperplanes else params.d
-    _check_containment(params, as_family(hyperplanes, width))
+    # The same check behind verify_instance.  No points: the incidence graph
+    # is empty, so only containment evaluates.
+    params, hyperplanes, family = _containment_case(case)
+    doc = InstanceDocument(params=params, points=as_table([], params.d), hyperplanes=family)
+    _check_containment(hyperplanes, params, lambda: verify_instance(doc)["containment_ok"])
 
 
-def _check_containment(params, hyperplanes):
-    # No points: the incidence graph is empty, so only containment evaluates.
-    doc = InstanceDocument(params=params, points=[], hyperplanes=hyperplanes)
+def _check_containment(hyperplanes, params, contained):
     try:
-        expected = reference_containment(list(hyperplanes), params)
+        expected = reference_containment(hyperplanes, params)
     except SrlbError as exc:
         with pytest.raises(type(exc)) as raised:
-            verify_instance(doc)
+            contained()
         assert str(raised.value) == str(exc)
         return
-    assert verify_instance(doc)["containment_ok"] is expected
+    assert contained() is expected
 
 
 class TestBoundReport:

@@ -73,3 +73,39 @@ def test_one_owner_of_the_resource_budget(path):
     else:
         assert (raised, defined) == ([], [])
     assert read_outside_charge == []
+
+
+
+def scopes(tree):
+    """(name, node) for each top-level statement: a function by its name, a
+    method as Class.method, anything else as "<module>"."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield f"{node.name}.{getattr(item, 'name', '<body>')}", item
+        else:
+            yield getattr(node, "name", "<module>"), node
+
+
+def callee(func):
+    """The name that a call expression calls: f for f(...), attr for x.attr(...)."""
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_one_row_converter():
+    # Points and hyperplanes enter the library as an int64 table and a
+    # HyperplaneFamily.  int64_rows converts outside rows in two places only,
+    # the json route and the query normals, and no alternate constructor,
+    # such as a HyperplaneFamily.of, turns objects into columns.
+    converters, alternates = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for scope, node in scopes(ast.parse(path.read_text())):
+            funcs = [child.func for child in ast.walk(node) if isinstance(child, ast.Call)]
+            if "int64_rows" in map(callee, funcs):
+                converters.add((path.name, scope))
+            alternates += [ast.unparse(func) for func in funcs if isinstance(func, ast.Attribute)
+                           and ast.unparse(func.value) == "HyperplaneFamily"]
+            alternates += [f"{scope} is a {name}" for name in map(ast.unparse, getattr(
+                node, "decorator_list", [])) if name in ("classmethod", "staticmethod")]
+    assert converters == {("io.py", "instance_from_dict"), ("reporting.py", "_int64_normals")}
+    assert alternates == []

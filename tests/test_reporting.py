@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import srlb.reporting
-from conftest import point_rows
+from conftest import as_table, point_rows
 from srlb.errors import ArithmeticOverflow, DimensionMismatch, EmptyInput
 from srlb.exact import INT64_MAX, INT64_MIN
 from srlb.geometry import (
@@ -128,35 +128,43 @@ class TestBuildKdTree:
     def test_worked_small_tree(self, d2_instance):
         _, points, _ = d2_instance
         tree = build_kdtree(points, leaf_capacity=4)
-        internal = tree.node_count - tree.leaf_count
-        assert internal <= 7
-        assert 4 <= tree.leaf_count <= 5
+        assert tree.node_count == 7  # 16 points: a root, two inner nodes, four leaves of 4
         assert sorted(tree.order) == list(range(16))
 
     def test_single_point(self):
-        tree = build_kdtree([(3, 4)])
-        assert tree.node_count == tree.leaf_count == 1
-        assert tree.depth == 1
+        tree = build_kdtree(as_table([(3, 4)]))
+        assert tree.node_count == 1
         assert tree.boxes == [((3, 4), (3, 4))]
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            build_kdtree([])
+            build_kdtree(as_table([], 2))
 
-    def test_mixed_dimensions(self):
-        with pytest.raises(DimensionMismatch):
-            build_kdtree([(1, 2), (1, 2, 3)])
+    @pytest.mark.parametrize(
+        "points",
+        [[(1, 2), (1, 2, 3)], [(1, 2)], np.zeros((5, 0), np.int64), np.ones((2, 2), np.int32),
+         np.ones((2, 2)), np.ones(2, np.int64)],
+        ids=["mixed_dimension_tuples", "tuples", "no_columns", "int32", "float", "one_axis"],
+    )
+    def test_refuses_what_is_not_a_point_table(self, points):
+        # point_table admits only an (n, d) int64 table with d >= 1, so a
+        # zero-width table cannot reach the axis cycle `level % d`.
+        q = SimplexQuery((Halfspace(normal=(1,), offset=0, sense="le"),))
+        with pytest.raises(ValueError, match="int64 point table"):
+            build_kdtree(points)
+        with pytest.raises(ValueError, match="int64 point table"):
+            brute_force_query(points, q)
 
     def test_bad_leaf_capacity(self):
         with pytest.raises(ValueError):
-            build_kdtree([(1, 2)], leaf_capacity=0)
+            build_kdtree(as_table([(1, 2)]), leaf_capacity=0)
 
     def test_more_points_than_the_cap(self, monkeypatch):
         # The build's sort keys slice * n + rank fit int64 up to MAX_POINTS.
         monkeypatch.setattr(srlb.reporting, "MAX_POINTS", 3)
-        assert build_kdtree([(1, 2)] * 3, leaf_capacity=1).n == 3
+        assert build_kdtree(as_table([(1, 2)] * 3), leaf_capacity=1).n == 3
         with pytest.raises(ArithmeticOverflow):
-            build_kdtree([(1, 2)] * 4, leaf_capacity=1)
+            build_kdtree(as_table([(1, 2)] * 4), leaf_capacity=1)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 100, 1000])
     @pytest.mark.parametrize("leaf_capacity", [1, 4, 16])
@@ -164,17 +172,17 @@ class TestBuildKdTree:
         rng = random.Random(n * 31 + leaf_capacity)
         points = [(rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 40))
                   for _ in range(n)]
-        tree = build_kdtree(points, leaf_capacity=leaf_capacity)
+        tree = build_kdtree(as_table(points), leaf_capacity=leaf_capacity)
         assert sorted(tree.order) == list(range(n))
         bound = math.ceil(math.log2(max(n / leaf_capacity, 1))) + 1
-        assert tree.depth <= max(bound, 1)
+        assert len(tree.boxes) < 2 ** max(bound, 1)  # heap numbers of depth <= bound
 
     def test_structure_invariants(self, d3_instance):
         _, points, _ = d3_instance
         tree = build_kdtree(points, leaf_capacity=4)
-        seen, leaf_levels = set(), []
+        seen = set()
 
-        def walk(node, start, end, axis, level):
+        def walk(node, start, end, axis):
             seen.add(node)
             lo, hi = tree.boxes[node]
             block = [points[i] for i in tree.order[start:end]]
@@ -182,20 +190,17 @@ class TestBuildKdTree:
                 assert all(lo[ax] <= p[ax] <= hi[ax] for ax in range(3))
             if end - start <= tree.leaf_capacity:
                 assert len(block) <= tree.leaf_capacity
-                leaf_levels.append(level)
                 return
             mid = start + (end - start) // 2
             left_coords = [p[axis] for p in block[: mid - start]]
             right_coords = [p[axis] for p in block[mid - start :]]
             assert max(left_coords) <= min(right_coords)
-            walk(2 * node + 1, start, mid, (axis + 1) % 3, level + 1)
-            walk(2 * node + 2, mid, end, (axis + 1) % 3, level + 1)
+            walk(2 * node + 1, start, mid, (axis + 1) % 3)
+            walk(2 * node + 2, mid, end, (axis + 1) % 3)
 
-        walk(0, 0, tree.n, 0, 1)
+        walk(0, 0, tree.n, 0)
         assert seen == {i for i, box in enumerate(tree.boxes) if box is not None}
         assert len(seen) == tree.node_count
-        assert len(leaf_levels) == tree.leaf_count
-        assert max(leaf_levels) == tree.depth
 
     def test_deterministic_build(self, d2_instance):
         _, points, _ = d2_instance
@@ -306,7 +311,7 @@ class TestBruteForceOracle:
 
     def test_empty_points(self):
         q = SimplexQuery((Halfspace(normal=(0, 1), offset=100, sense="le"),))
-        assert brute_force_query([], q) == []
+        assert brute_force_query(as_table([], 2), q) == []
 
     def test_dimension_mismatch(self, d2_instance):
         _, points, _ = d2_instance
@@ -339,32 +344,27 @@ def _table_inputs():
 
 
 class TestPointTables:
-    """A point table and the same points as tuples give one tree and one answer."""
+    """A point table's tree and oracle answers against the per-point references."""
 
     def test_same_tree(self):
         rng = random.Random(43)
         for d, points in _table_inputs():
-            leaf_capacity = rng.randint(1, 20)
-            tree = build_kdtree(np.array(points, dtype=np.int64), leaf_capacity)
-            assert tree == build_kdtree(points, leaf_capacity)
+            tree = assert_matches_reference(points, rng.randint(1, 20), [])
             assert all(type(p) is tuple for p in tree.points)
 
     def test_same_brute_force_lists(self):
         rng = random.Random(47)
         for d, points in _table_inputs():
-            table = np.array(points, dtype=np.int64)
+            table = as_table(points)
             for q in [_random_query(rng, d) for _ in range(10)]:
                 try:
-                    expected = brute_force_query(points, q)
+                    reported = brute_force_query(table, q)
                 except ArithmeticOverflow:
-                    with pytest.raises(ArithmeticOverflow):
-                        brute_force_query(table, q)
-                    continue
+                    continue  # assert_matches_reference checks the envelope
                 # The points that pass every test, in input order, as tuples.
-                assert expected == [
+                assert reported == [
                     p for p in points if all(h.contains(p) for h in q.constraints)
                 ]
-                assert brute_force_query(table, q) == expected
 
 
 class TestOracleEnvelope:
@@ -373,7 +373,7 @@ class TestOracleEnvelope:
     def test_int64_min_coordinate_overflows_both(self):
         # |x1| + |x2| reaches 2**63 + 1: an int64 scan would wrap the value
         # -2**63 - 1 of the first point to INT64_MAX and silently drop it.
-        points = [(-(2**63), -1), (0, 0)]
+        points = as_table([(-(2**63), -1), (0, 0)])
         q = SimplexQuery((Halfspace((1, 1), 0, "le"),))
         with pytest.raises(ArithmeticOverflow):
             brute_force_query(points, q)
@@ -383,8 +383,8 @@ class TestOracleEnvelope:
     def test_bound_at_int64_max_agrees(self):
         points = [(-(2**63) + 1, 5), (0, 0), (1, -1)]
         q = SimplexQuery((Halfspace((1, 0), 0, "le"),))
-        reported, _ = query(build_kdtree(points), q)
-        assert sorted(brute_force_query(points, q)) == sorted(reported) == points[:2]
+        reported, _ = query(build_kdtree(as_table(points)), q)
+        assert sorted(brute_force_query(as_table(points), q)) == sorted(reported) == points[:2]
 
     @pytest.mark.parametrize(
         "points,constraints",
@@ -403,7 +403,7 @@ class TestOracleEnvelope:
         ids=["per_axis_maximum", "after_pruning_constraint", "normal_outside_int64"],
     )
     def test_envelope_overflow_raises_in_both(self, points, constraints):
-        q = SimplexQuery(constraints)
+        points, q = as_table(points), SimplexQuery(constraints)
         with pytest.raises(ArithmeticOverflow):
             brute_force_query(points, q)
         with pytest.raises(ArithmeticOverflow):
@@ -439,18 +439,17 @@ class _ReferenceNode:
 def reference_build_kdtree(points, leaf_capacity):
     """The kd-tree as an object graph, one node object per node.
 
-    Returns (root, order, counters), with counters holding the node count,
-    the leaf count and the depth.  This is the layout the heap-numbered
+    Returns (root, order, node count).  This is the layout the heap-numbered
     boxes replaced, kept as the oracle for build_kdtree and query.
     """
     dim = len(points[0])
     coords = np.asarray(points, dtype=np.int64)
     order = np.arange(len(points), dtype=np.int64)
-    counters = {"nodes": 0, "leaves": 0, "depth": 0}
+    nodes = 0
 
-    def build(start, end, axis, level):
-        counters["nodes"] += 1
-        counters["depth"] = max(counters["depth"], level)
+    def build(start, end, axis):
+        nonlocal nodes
+        nodes += 1
         slice_idx = order[start:end]
         block = coords[slice_idx]
         node = _ReferenceNode(
@@ -460,7 +459,6 @@ def reference_build_kdtree(points, leaf_capacity):
             end=end,
         )
         if end - start <= leaf_capacity:
-            counters["leaves"] += 1
             return node
         perm = np.lexsort((slice_idx, block[:, axis]))
         order[start:end] = slice_idx[perm]
@@ -468,12 +466,12 @@ def reference_build_kdtree(points, leaf_capacity):
         node.axis = axis
         node.split = int(coords[order[start + mid - 1], axis])
         next_axis = (axis + 1) % dim
-        node.left = build(start, start + mid, next_axis, level + 1)
-        node.right = build(start + mid, end, next_axis, level + 1)
+        node.left = build(start, start + mid, next_axis)
+        node.right = build(start + mid, end, next_axis)
         return node
 
-    root = build(0, len(points), 0, 1)
-    return root, [int(i) for i in order], counters
+    root = build(0, len(points), 0)
+    return root, [int(i) for i in order], nodes
 
 
 def reference_query(root, points, order, q):
@@ -533,18 +531,18 @@ def _random_query(rng, d):
 
 
 def assert_matches_reference(points, leaf_capacity, queries):
-    """build_kdtree and query agree with the object-graph reference.
+    """build_kdtree and query, on the table of the point tuples, agree with
+    the object-graph reference; returns the tree.
 
-    The tree must match in order, counters and boxes (as Python ints), and
+    The tree must match in order, node count and boxes (as Python ints), and
     every query must give the same reported points and stats.  A query
     whose values may leave int64 must be refused by the oracle too.
     """
-    tree = build_kdtree(points, leaf_capacity=leaf_capacity)
-    root, order, counters = reference_build_kdtree(points, leaf_capacity)
+    table = as_table(points)
+    tree = build_kdtree(table, leaf_capacity=leaf_capacity)
+    root, order, nodes = reference_build_kdtree(points, leaf_capacity)
     assert tree.order == order
-    assert (tree.node_count, tree.leaf_count, tree.depth) == (
-        counters["nodes"], counters["leaves"], counters["depth"]
-    )
+    assert tree.node_count == nodes
     boxes = _reference_boxes(root)
     assert {i: box for i, box in enumerate(tree.boxes) if box is not None} == boxes
     values = [c for lo, hi in filter(None, tree.boxes) for c in (*lo, *hi)]
@@ -554,9 +552,10 @@ def assert_matches_reference(points, leaf_capacity, queries):
             answer = query(tree, q)
         except ArithmeticOverflow:
             with pytest.raises(ArithmeticOverflow):
-                brute_force_query(points, q)
+                brute_force_query(table, q)
             continue
         assert answer == reference_query(root, points, order, q)
+    return tree
 
 
 class TestHeapLayoutMatchesObjectGraph:
@@ -577,7 +576,7 @@ class TestHeapLayoutMatchesObjectGraph:
     def test_one_leaf_when_capacity_covers_n(self, n, extra):
         rng = random.Random(n + extra)
         points = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n)]
-        assert build_kdtree(points, leaf_capacity=n + extra).node_count == 1
+        assert build_kdtree(as_table(points), leaf_capacity=n + extra).node_count == 1
         queries = [_random_query(rng, 2) for _ in range(10)]
         assert_matches_reference(points, n + extra, queries)
 
@@ -635,9 +634,7 @@ class TestHeapLayoutMatchesObjectGraph:
         rng = random.Random(n)
         queries = [slab_query_for(hyperplane_at(params, i)) for i in range(0, params.m, 5)]
         queries += random_simplex_queries(params, 20, rng)
-        table = generate_points(params)
-        assert build_kdtree(table) == build_kdtree(point_rows(table))
-        assert_matches_reference(point_rows(table), 4, queries)
+        assert_matches_reference(point_rows(generate_points(params)), 4, queries)
 
 
 def test_build_leaves_no_cyclic_garbage(d3_instance):
