@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -131,11 +131,11 @@ class Hyperplane:
         return len(self.a) + 1
 
 
-class HyperplaneFamily(Sequence[Hyperplane]):
+class HyperplaneFamily:
     """Hyperplanes held as int64 columns: slopes (m, d-1) and offsets (m,).
 
-    A read-only sequence of Hyperplane: an int index builds one object, and
-    iteration builds the objects from one tolist() per column.  Every
+    Sized, int-indexable and iterable: an int index builds one Hyperplane,
+    and iteration builds them from one tolist() per column.  Every
     coefficient is checked to be >= 1 at construction, with the message
     Hyperplane gives for the first row that is not.  The arrays are frozen
     in place, not copied, so nothing may write to them or their bases later.
@@ -176,7 +176,7 @@ def normalize_params(d: int, n_requested: int, t_requested: int) -> InstancePara
     down to the nearest multiple of t; both shrink, never grow, so validity
     of the result implies validity of the request.
 
-    Raises RangeTooTight when A or B would fall below 1 (richness too large
+    Raises RangeTooTight when A would fall below 1 (richness too large
     relative to n) and ArithmeticOverflow outside the supported envelope.
     """
     if d < 2:
@@ -199,14 +199,12 @@ def normalize_params(d: int, n_requested: int, t_requested: int) -> InstancePara
         raise RangeTooTight(f"n = {n_requested} is smaller than t = {t}")
 
     A = n // (d * s**d)
-    B = n // (d * t)
+    B = n // (d * t)  # B >= A as t <= s**d, so A >= 1 below gives B >= 1
     if A < 1:
         raise RangeTooTight(
             f"A = floor(n / (d*t^(d/(d-1)))) = floor({n}/{d * s**d}) = 0;"
             f" t = {t} is too rich for n = {n}"
         )
-    if B < 1:
-        raise RangeTooTight(f"B = floor(n / (d*t)) = floor({n}/{d * t}) = 0")
     power = _int64_power(A, d - 1)
     if power is None or power * B > INT64_MAX:
         raise ArithmeticOverflow(
@@ -227,7 +225,7 @@ def largest_valid_richness(d: int, n_requested: int) -> InstanceParams:
         raise ValueError(f"need d >= 2 and n >= 1, got d={d}, n={n_requested}")
     if n_requested < d:
         raise RangeTooTight(f"no valid richness exists for d={d}, n={n_requested}")
-    s = iroot(n_requested // d, d)
+    s = iroot(check_int64(n_requested, "n") // d, d)  # iroot's float guess overflows on a huge n
     return normalize_params(d, n_requested, s ** (d - 1))
 
 

@@ -82,14 +82,6 @@ class IncidenceGraph:
             map(np.array_equal, (self.indptr, self.indices), (other.indptr, other.indices))
         )
 
-    @property
-    def hyperplane_count(self) -> int:
-        return len(self.indptr) - 1
-
-    @property
-    def total_incidences(self) -> int:
-        return len(self.indices)
-
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """The rows as tuples, built on first use; no verify check needs them."""

@@ -98,27 +98,29 @@ def instance_from_dict(doc: dict) -> InstanceDocument:
     return InstanceDocument(params=params, points=points, hyperplanes=hyperplanes)
 
 
+def _section_rows(d: int) -> dict[str, str]:
+    """The row grammar: each section's key, in file order, and its json.dumps row of zeros."""
+    return {"points": json.dumps([0] * d), "hyperplanes": json.dumps({"a": [0] * (d - 1), "b": 0})}
+
+
 def save_instance(
     path: PathLike, params: InstanceParams, points: Optional[np.ndarray] = None,
     hyperplanes: Optional[HyperplaneFamily] = None,
 ) -> None:
     """Write json.dumps's bytes for the document from int64 tables, WRITE_BLOCK rows
     per %.  Sections no loader takes back raise before the file opens, leaving none."""
-    sections = {}  # key -> (a row of zeros, the int64 table of the rows)
-    if points is not None:
-        if point_table(points).shape[1] != params.d:
-            raise ValueError(f"points of width {points.shape[1]} in an instance of d = {params.d}")
-        sections["points"] = ([0] * params.d, points)
-    if hyperplanes is not None:
-        d = hyperplanes.d
-        if len(hyperplanes) and d != params.d:
-            raise ValueError(f"hyperplanes of d = {d} in an instance of d = {params.d}")
-        table = np.column_stack((hyperplanes.slopes, hyperplanes.offsets))
-        sections["hyperplanes"] = ({"a": [0] * (params.d - 1), "b": 0}, table)
+    if points is not None and point_table(points).shape[1] != params.d:
+        raise ValueError(f"points of width {points.shape[1]} in an instance of d = {params.d}")
+    if hyperplanes is not None and len(hyperplanes) and hyperplanes.d != params.d:
+        raise ValueError(f"hyperplanes of d = {hyperplanes.d} in an instance of d = {params.d}")
+    tables = {"points": points, "hyperplanes": None if hyperplanes is None
+              else np.column_stack((hyperplanes.slopes, hyperplanes.offsets))}
     with open(path, "w") as fh:
         fh.write('{"params": ' + json.dumps(params_to_dict(params)))
-        for key, (zeros, table) in sections.items():
-            row = json.dumps(zeros).replace("0", "%d")  # as json.dumps writes a row
+        for key, zeros in _section_rows(params.d).items():
+            row, table = zeros.replace("0", "%d"), tables[key]
+            if table is None:
+                continue
             fh.write(f', "{key}": [')
             for i, rows in enumerate(np.split(table, range(WRITE_BLOCK, len(table), WRITE_BLOCK))):
                 text = ", ".join([row] * len(rows)) % tuple(rows.ravel().tolist())
@@ -196,13 +198,12 @@ def _columnar_document(raw: bytes) -> Optional[InstanceDocument]:
         params = params_from_dict(json.loads(raw[len(head):at]))
     except (ValueError, SrlbError):  # instance_from_dict raises it again
         return None
-    zero_rows = {"points": [0] * params.d, "hyperplanes": {"a": [0] * (params.d - 1), "b": 0}}
     tables = {}
-    for key, zeros in zero_rows.items():
+    for key, zeros in _section_rows(params.d).items():
         opener = f', "{key}": ['.encode()
         if not raw.startswith(opener, at):
             continue
-        start, row = at + len(opener), json.dumps(zeros).encode()
+        start, row = at + len(opener), zeros.encode()
         # The section ends at its first row end that a ']' follows.
         end = start if raw.startswith(b"]", start) else raw.find(row[-1:] + b"]", start) + 1
         table = _literal_table(memoryview(raw)[start:end], row, params.d) if end >= start else None

@@ -480,6 +480,15 @@ class TestBenchAndFit:
         )
         assert rc == 2
 
+    def test_bench_refuses_a_size_beyond_int64(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        size = 10**400
+        rc, stdout, stderr = run_cli(capsys, "bench", "-d", "2", "--sizes", str(size),
+                                     "--out", str(out))
+        error = f"error: n = {size} exceeds the 64-bit safe envelope\n"
+        assert (rc, stdout, stderr) == (2, "", error)
+        assert not out.exists()
+
     @pytest.mark.parametrize("capacity", ["0", "-1"])
     def test_bench_refuses_leaf_capacity_below_one_before_the_file(self, tmp_path, capsys,
                                                                     capacity):
@@ -606,6 +615,11 @@ class TestBound:
     def test_too_tight(self, capsys):
         rc, _, stderr = run_cli(capsys, "bound", "-d", "2", "-n", "4", "-t", "4")
         assert rc == 2
+
+    def test_space_below_one(self, capsys):
+        rc, stdout, stderr = run_cli(capsys, "bound", "-d", "2", "-n", "16", "-t", "2",
+                                     "--space", "0")
+        assert (rc, stdout, stderr) == (2, "", "error: hypothetical space must be >= 1, got 0\n")
 
     @pytest.mark.parametrize("d", [2**16, 2**20])
     @pytest.mark.parametrize("command", ["bound", "gen"])

@@ -67,6 +67,8 @@ class TestIroot:
         assert iroot(10**18, 2) == 10**9
         assert iroot(10**18 - 1, 2) == 10**9 - 1
         assert iroot(2**60 - 1, 3) == 2**20 - 1
+        # The float of (2**53 + 1)**2 rounds to 2**106, so the guess is one low.
+        assert iroot((2**53 + 1) ** 2, 2) == 2**53 + 1
 
     @pytest.mark.parametrize("value", [2, 3, 2**63 - 1])
     @pytest.mark.parametrize("k", [64, 2**20, 2**24])
@@ -141,6 +143,10 @@ class TestNormalizeParams:
         assert peak < SMALL_PEAK_BYTES
 
     def test_invariants_reverified_by_type(self):
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            InstanceParams(d=1, s=2, t=1, n=16, A=2, B=4, m=4)
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            InstanceParams(d=2, s=0, t=0, n=16, A=2, B=4, m=8)
         with pytest.raises(ValueError):
             InstanceParams(d=2, s=2, t=3, n=16, A=2, B=4, m=8)
         with pytest.raises(ValueError):
@@ -216,6 +222,15 @@ class TestLargestValidRichness:
     def test_no_valid_richness(self):
         with pytest.raises(RangeTooTight):
             largest_valid_richness(2, 1)
+
+    def test_preconditions(self):
+        with pytest.raises(ValueError, match="need d >= 2"):
+            largest_valid_richness(1, 8)
+
+    def test_n_beyond_int64_is_refused_before_the_root(self):
+        # iroot's float guess of a 401-digit n would raise OverflowError.
+        with pytest.raises(ArithmeticOverflow, match="^n = "):
+            largest_valid_richness(2, 10**400)
 
 
 class TestGeneratePoints:

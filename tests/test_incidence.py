@@ -83,15 +83,15 @@ def naive_pair_coverage(graph):
 class TestBuildIncidenceGraph:
     def test_planar_shape(self, d2_graph):
         _, graph = d2_graph
-        assert graph.hyperplane_count == 8
+        assert len(graph.indptr) - 1 == 8
         assert all(len(row) == 2 for row in graph.adjacency)
-        assert graph.total_incidences == 16
+        assert graph.indices.size == 16
 
     def test_3d_shape(self, d3_graph):
         _, graph = d3_graph
-        assert graph.hyperplane_count == 128
+        assert len(graph.indptr) - 1 == 128
         assert all(len(row) == 4 for row in graph.adjacency)
-        assert graph.total_incidences == 512
+        assert graph.indices.size == 512
 
     def test_single_nonincident_pair(self):
         graph = build_incidence_graph(as_table([(1, 5)]), as_family([Hyperplane(a=(1,), b=1)]))
@@ -165,8 +165,8 @@ def _csr(indptr, indices, point_count=4):
 class TestCsrGraph:
     def test_layout(self):
         graph = _csr([0, 2, 2, 5], [0, 3, 1, 2, 3])
-        assert graph.hyperplane_count == 3
-        assert graph.total_incidences == 5
+        assert len(graph.indptr) - 1 == 3
+        assert graph.indices.size == 5
         assert graph.adjacency == ((0, 3), (), (1, 2, 3))
 
     @pytest.mark.parametrize(
@@ -222,13 +222,13 @@ class TestCsrGraph:
         assert graph.indptr.dtype == graph.indices.dtype == np.int64
         again = from_rows(
             point_count=point_count,
-            hyperplane_count=graph.hyperplane_count,
+            hyperplane_count=len(graph.indptr) - 1,
             adjacency=graph.adjacency,
         )
         assert again == graph
         assert again != from_rows(
             point_count=point_count + 1,
-            hyperplane_count=graph.hyperplane_count,
+            hyperplane_count=len(graph.indptr) - 1,
             adjacency=graph.adjacency,
         )
 
@@ -236,7 +236,7 @@ class TestCsrGraph:
         _, graph = d3_graph
         again = from_rows(
             point_count=graph.point_count,
-            hyperplane_count=graph.hyperplane_count,
+            hyperplane_count=len(graph.indptr) - 1,
             adjacency=graph.adjacency,
         )
         assert again == graph
@@ -412,7 +412,7 @@ def _check_sort_join(case):
     if case == "family_bound_overflows_each_fits":
         assert expected.adjacency == ((0, 2), (1, 2))
     else:
-        assert expected.total_incidences > 0
+        assert expected.indices.size > 0
 
 
 class TestRichnessHistogram:
@@ -462,6 +462,12 @@ class TestPairCoverage:
             point_count=3, hyperplane_count=2, adjacency=((0,), ())
         )
         assert pair_coverage(graph) == (0, None)
+
+    def test_point_count_past_the_cap(self):
+        # Pair codes i*n + j would leave uint64; refused before any row is read.
+        graph = from_rows(point_count=2**32 + 1, hyperplane_count=0, adjacency=())
+        with pytest.raises(ArithmeticOverflow, match="cap"):
+            pair_coverage(graph)
 
     def test_budget(self, d2_graph, monkeypatch):
         _, graph = d2_graph

@@ -3,13 +3,7 @@ from pathlib import Path
 
 import pytest
 
-import srlb
-
 SRC = Path(__file__).resolve().parents[1] / "src" / "srlb"
-
-
-def test_every_export_resolves():
-    assert [name for name in srlb.__all__ if not hasattr(srlb, name)] == []
 
 
 def imported_names(tree):
@@ -23,13 +17,22 @@ def imported_names(tree):
                 yield alias.asname or alias.name
 
 
-def exported_names(tree):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
+def bound_names(tree):
+    """The names that the module binds: imports, definitions and assignments."""
+    yield from imported_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+def test_submodules_are_the_one_way_in():
+    # The package re-exports nothing and no module declares __all__, so each
+    # name of the library is imported from the one submodule that defines it.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert sorted(set(bound_names(trees["__init__.py"]))) == ["__version__"]
+    assert [name for name, tree in trees.items() if "__all__" in bound_names(tree)] == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
@@ -37,7 +40,7 @@ def test_every_import_is_used_or_exported(path):
     # An import left behind by a deleted helper shows up here.
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert sorted(set(imported_names(tree)) - used - exported_names(tree)) == []
+    assert sorted(set(imported_names(tree)) - used) == []
 
 
 def names_in(node):
