@@ -32,17 +32,18 @@ from .geometry import (
 )
 from .io import InstanceDocument
 
-# Most int64 hyperplane values build_incidence_graph evaluates at once
-# (a block holds at least one hyperplane).
-INCIDENCE_BLOCK = 1 << 18
+# Cache-sized blocks: most int64 hyperplane values build_incidence_graph
+# evaluates at once (a block holds at least one hyperplane), and most sorted
+# pair codes the run scan of pair_coverage compares at once.
+INCIDENCE_BLOCK = PAIR_SCAN_SLICE = 1 << 14
 
-# Bytes the join holds per incidence: about 40 while its block is sorted,
-# 8 once joined (a 10**6-incidence block peaked at 42.7 under tracemalloc).
-INCIDENCE_BYTES = 48
+# Bytes the join holds per incidence: 8 once joined, 16 at the final
+# concatenate, and twice as many for the block being sorted (32.3 measured).
+INCIDENCE_BYTES = 18
 
-# Bytes of the join's per-value scratch (values, rank, key, run, hit, count)
-# while a block is evaluated.
-BLOCK_VALUE_BYTES = 104
+# Bytes of the join's per-value scratch while a block is evaluated: 49 while
+# matching, 24 plus the block's incidences after (58.3 measured at one each).
+BLOCK_VALUE_BYTES = 72
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +72,7 @@ class IncidenceGraph:
         # An entry may fail to exceed its predecessor only where a row starts.
         row_start = np.zeros(indices.size + 1, dtype=bool)
         row_start[indptr] = True
-        if not (row_start[1:-1] | (np.diff(indices) > 0)).all():
+        if not (row_start[1:-1] | (indices[1:] > indices[:-1])).all():
             raise ValueError("adjacency lists must be sorted and duplicate-free")
         indptr.flags.writeable = indices.flags.writeable = False
 
@@ -121,8 +122,8 @@ def build_incidence_graph(points: np.ndarray, family: HyperplaneFamily) -> Incid
     points with that base.  This costs O(m*u*log n + incidences) instead of
     testing all n*m pairs; in the grid family u = t.  Once u is known it
     charges the m*u evaluations and the first block's scratch,
-    BLOCK_VALUE_BYTES per value, and before each block's output the
-    incidences so far, INCIDENCE_BYTES each.
+    BLOCK_VALUE_BYTES per value, and before each block's output that scratch
+    plus the incidences so far, INCIDENCE_BYTES each, the block's own twice.
     The pair-by-pair scan it replaced is kept in the tests as the reference.
     """
     coords = point_table(points)
@@ -146,7 +147,8 @@ def build_incidence_graph(points: np.ndarray, family: HyperplaneFamily) -> Incid
     charge(f"{m} hyperplanes at {len(bases)} distinct bases", m * len(bases), "evaluations")
     keys = (np.cumsum(new_base) - 1) * len(lasts) + last_rank[order]  # rising, < n**2
     # The points sharing one key form the run order[run_start : run_start + run_size].
-    run_keys, run_start, run_size = np.unique(keys, return_index=True, return_counts=True)
+    run_start = np.flatnonzero(np.diff(keys, prepend=-1))
+    run_keys, run_size = keys[run_start], np.diff(run_start, append=n)
     max_abs = envelope(bases)
     over = _first_row_over(family, max_abs)
     if over < m:
@@ -155,7 +157,8 @@ def build_incidence_graph(points: np.ndarray, family: HyperplaneFamily) -> Incid
 
     rows_per_block = max(1, INCIDENCE_BLOCK // len(bases))
     block_values = min(rows_per_block, m) * len(bases)
-    charge(f"join blocks of {block_values} values", BLOCK_VALUE_BYTES * block_values)
+    block_bytes = BLOCK_VALUE_BYTES * block_values
+    charge(f"join blocks of {block_values} values", block_bytes)
     base_keys = np.arange(0, len(bases) * len(lasts), len(lasts))[:, None]
     indices, row_lengths, joined = [], [], 0
     for lo in range(0, m, rows_per_block):
@@ -168,8 +171,9 @@ def build_incidence_graph(points: np.ndarray, family: HyperplaneFamily) -> Incid
         run = np.minimum(np.searchsorted(run_keys, key), len(run_keys) - 1)
         hit = (lasts[rank] == values) & (run_keys[run] == key)
         count = np.where(hit, run_size[run], 0).ravel()
-        joined += int(count.sum())
-        charge(f"{joined} incidences", INCIDENCE_BYTES * joined)
+        del values, rank, key, hit  # only run and count outlive the match
+        joined += (new := int(count.sum()))
+        charge(f"{joined} incidences", INCIDENCE_BYTES * (joined + new) + block_bytes)
         row = np.repeat(np.tile(np.arange(hi - lo), len(bases)), count)
         run_offset = run_start[run].ravel() - (np.cumsum(count) - count)
         point = order[np.arange(len(row)) + np.repeat(run_offset, count)]
@@ -177,9 +181,11 @@ def build_incidence_graph(points: np.ndarray, family: HyperplaneFamily) -> Incid
         # len(bases) sorted runs.  row < INCIDENCE_BLOCK keeps row * n small.
         indices.append(np.sort(row * n + point, kind="stable") % n)
         row_lengths.append(np.bincount(row, minlength=hi - lo))
+        del run, count, row, run_offset, point  # only the block's indices outlive it
 
     indptr = np.concatenate(([0], *row_lengths)).cumsum()
-    return IncidenceGraph(point_count=n, indptr=indptr, indices=np.concatenate(indices))
+    indices = np.concatenate(indices)  # frees the blocks before the graph checks them
+    return IncidenceGraph(point_count=n, indptr=indptr, indices=indices)
 
 
 def richness_histogram(graph: IncidenceGraph) -> dict[int, int]:
@@ -197,10 +203,10 @@ def _pair_code(n: int) -> type:
 
 
 def _pair_bytes(pairs: int, incidences: int, n: int) -> int:
-    """Peak bytes of pair_coverage: per pair its code and run arrays (!= mask,
-    flatnonzero, np.diff), per enumerated incidence its index and two codes."""
+    """Peak bytes of pair_coverage: a code per pair and per enumerated incidence, 16
+    bytes per incidence (a row of 2+ holds 25: length, start, gather), one scan slice."""
     size = np.dtype(_pair_code(n)).itemsize
-    return pairs * (size + 25) + incidences * (8 + 2 * size)
+    return (pairs + incidences) * size + 16 * incidences + PAIR_SCAN_SLICE
 
 
 def pair_coverage(graph: IncidenceGraph) -> tuple[int, Optional[tuple[int, int]]]:
@@ -208,10 +214,11 @@ def pair_coverage(graph: IncidenceGraph) -> tuple[int, Optional[tuple[int, int]]
 
     Enumerates each hyperplane's C(len, 2) incident point pairs and counts
     duplicates, which costs O(m * t^2) instead of the O(n^2 * m) point-pair
-    scan; t is small by design while n^2 is not.  Rows of equal length are
-    enumerated together as one block, after their bytes (_pair_bytes) are
-    charged.  Returns the max count and the lexicographically smallest
-    witness pair attaining it (None when no hyperplane covers two points).
+    scan; t is small by design while n^2 is not.  Rows of equal length form
+    one block, enumerated once their bytes (_pair_bytes) are charged; runs in
+    the sorted codes are found by scans over bounded slices (_first_run).
+    Returns the max count and the lexicographically smallest witness pair
+    attaining it (None when no hyperplane covers two points).
     """
     lengths = np.diff(graph.indptr)
     sizes, rows_of_size = np.unique(lengths, return_counts=True)
@@ -220,7 +227,6 @@ def pair_coverage(graph: IncidenceGraph) -> tuple[int, Optional[tuple[int, int]]
         # Pair codes i*n + j must fit in uint64, i.e. n**2 - 1 < 2**64.
         raise ArithmeticOverflow(f"point count {n} exceeds the {MAX_POINTS} cap")
     code = _pair_code(n)
-    row_starts = graph.indptr[:-1]
     wide = sizes >= 2
     blocks = list(zip(sizes[wide].tolist(), rows_of_size[wide].tolist()))
     pairs = sum(k * size * (size - 1) // 2 for size, k in blocks)
@@ -231,24 +237,38 @@ def pair_coverage(graph: IncidenceGraph) -> tuple[int, Optional[tuple[int, int]]
         return 0, None
     end = 0
     for size, k in blocks:
-        # block[i] holds the i-th point of every row of this length.
-        at = row_starts[lengths == size] + np.arange(size)[:, None]
-        block = graph.indices[at].astype(code)
-        scaled = block * code(n)
+        at = graph.indptr[:-1][lengths == size]  # a copy, so it may step in place
+        block = np.empty((size, k), code)  # block[i]: the i-th point of every row
+        for i in range(size):
+            block[i] = graph.indices[at]
+            at += 1
         for i in range(size - 1):
             # Pairs (i, j > i) of every row.  Pairs within one hyperplane are
             # distinct, so duplicates only come from hyperplanes sharing a pair.
             start, end = end, end + (size - 1 - i) * k
-            np.add(scaled[i], block[i + 1 :], out=merged[start:end].reshape(-1, k))
+            np.add(block[i] * code(n), block[i + 1 :], out=merged[start:end].reshape(-1, k))
 
     merged.sort()
-    last = np.flatnonzero(merged[1:] != merged[:-1])  # where each run but the final one ends
-    runs = np.diff(last, prepend=-1, append=len(merged) - 1)
-    # argmax picks the first maximal run, which has the smallest code: the
-    # lexicographically smallest pair.
-    first = int(runs.argmax())
-    witness_code = int(merged[last[first - 1] + 1 if first else 0])
-    return int(runs[first]), (witness_code // n, witness_code % n)
+    # k equal codes start at i iff merged[i] == merged[i + k - 1].  Double k, then bisect:
+    # a run of `best` first starts at `at` (no longer run starts sooner), none of `over`
+    # (once set) exists.  The first longest run has the least code: the witness pair.
+    best, at, over = 1, 0, 0
+    while over != best + 1:
+        k = (best + over) // 2 if over else 2 * best
+        start = _first_run(merged, k, at)
+        best, at, over = (best, at, k) if start is None else (k, start, over)
+    return best, divmod(int(merged[at]), n)
+
+
+def _first_run(codes: np.ndarray, k: int, begin: int) -> Optional[int]:
+    """First i >= begin with codes[i] == codes[i + k - 1], PAIR_SCAN_SLICE at a time."""
+    stop = len(codes) - k + 1
+    for lo in range(begin, stop, PAIR_SCAN_SLICE):
+        hi = min(lo + PAIR_SCAN_SLICE, stop)
+        equal = codes[lo:hi] == codes[lo + k - 1 : hi + k - 1]
+        if equal.any():
+            return lo + int(equal.argmax())
+    return None
 
 
 def charge_verify(params: InstanceParams) -> int:
@@ -258,8 +278,8 @@ def charge_verify(params: InstanceParams) -> int:
     int64 row, generate_points' copy and the join's sort keys, per hyperplane
     its int64 rows (three copies in np.indices) and counters, one block of the
     join's per-value scratch, INCIDENCE_BYTES per incidence, and _pair_bytes.
-    It bounds the tracemalloc peak of verify_instance, measured at d = 2..4,
-    n = 2**10 to 2**16.  It needs nothing generated, so gen charges it too.
+    The tracemalloc peak of verify_instance was 41-84% of it at d = 2..4, n =
+    2**10..2**16.  It needs nothing generated, so gen charges it too.
     """
     n, d, t, m = params.n, params.d, params.t, params.m
     cost = (

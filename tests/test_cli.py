@@ -416,15 +416,16 @@ class TestPreflight:
 
     def test_join_charges_its_block_scratch_first(self, instance_file, capsys, traced_peak,
                                                   monkeypatch):
-        # The stored sections above: the join's first block holds 200,000
-        # values, whose scratch (104 bytes each) is charged before it exists.
+        # The stored sections above: the join's first block holds 16,384 values
+        # (8,192 hyperplanes at 2 bases), whose scratch (72 bytes each) is
+        # charged before it exists.
         doc = json.loads(instance_file.read_text())
         doc["hyperplanes"] *= 12500
         instance_file.write_text(json.dumps(doc))
         monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", 2**20)
         rc, stdout, stderr = run_cli(capsys, "verify", str(instance_file))
         assert (rc, stdout) == (3, "")
-        assert stderr.startswith("error: join blocks of 200000 values take up to 20800000 bytes")
+        assert stderr.startswith("error: join blocks of 16384 values take up to 1179648 bytes")
         error, peak = traced_peak(verify_instance, load_instance(instance_file))
         assert isinstance(error, InstanceTooLarge)
         assert peak < 800_000  # below one copy of the 8 * 100,000-byte slope column
@@ -432,7 +433,7 @@ class TestPreflight:
     def test_budget_bounds_incidence_scan(self, instance_file, capsys, monkeypatch):
         # d=2, n=16: the verify model is the largest byte charge of the run.
         cost = charge_verify(load_instance(instance_file).params)
-        assert cost == 70_888
+        assert cost == 86_144
         monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", cost - 1)
         assert run_cli(capsys, "verify", str(instance_file))[0] == 3
         monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", cost)

@@ -502,6 +502,56 @@ class TestPairCoverage:
             )
             assert pair_coverage(graph) == naive_pair_coverage(graph), adjacency
 
+    BIG = 2**17  # n*n = 2**34 > 2**32: 64-bit pair codes
+    RUN_SCAN_CASES = {
+        "every_code_equal": (4, ((1, 3),) * 7, (7, (1, 3))),
+        "longest_run_at_first_code": (
+            5, ((0, 1), (0, 1), (0, 1), (0, 2), (1, 2), (2, 4), (3, 4)), (3, (0, 1))),
+        "longest_run_at_last_code": (
+            5, ((0, 1), (0, 2), (1, 2), (2, 4), (3, 4), (3, 4), (3, 4)), (3, (3, 4))),
+        "longest_run_after_shorter_ones": (
+            4, ((0, 1),) * 2 + ((1, 2),) * 5 + ((2, 3),) * 3, (5, (1, 2))),
+        "ties_smallest_code_wins": (
+            5, ((2, 4), (1, 3), (2, 4), (0, 1), (1, 3), (2, 4), (1, 3)), (3, (1, 3))),
+        "single_pair": (2, ((0, 1),), (1, (0, 1))),
+        "uint64_codes": (
+            BIG, ((BIG - 3, BIG - 2, BIG - 1),) * 2 + ((0, BIG - 1),) * 2
+            + ((BIG - 2, BIG - 1), (5, BIG - 1)), (3, (BIG - 2, BIG - 1))),
+    }
+
+    @pytest.mark.parametrize("slice_size", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(RUN_SCAN_CASES))
+    def test_run_scan_across_slice_edges(self, case, slice_size, monkeypatch):
+        # Slices of 1 to 3 codes make every run of two or more straddle an edge.
+        monkeypatch.setattr(srlb.incidence, "PAIR_SCAN_SLICE", slice_size)
+        n, adjacency, expected = self.RUN_SCAN_CASES[case]
+        graph = from_rows(point_count=n, hyperplane_count=len(adjacency), adjacency=adjacency)
+        assert pair_coverage(graph) == naive_pair_coverage(graph) == expected
+
+
+def test_verify_kernels_stay_in_bounded_scratch(traced_peak):
+    # The verify benchmark's instance: 67,200 incidences, 504,000 uint32 pair
+    # codes (2.0 MB).  The join peaked at 6.03 MiB with 2**18-value blocks, and
+    # pair_coverage at 6.2 MiB with run arrays as long as its codes.
+    params = normalize_params(3, 2**11, 16)
+    assert (params.A, params.m) == (10, 4200)
+    points, family = generate_points(params), generate_hyperplanes(params)
+    graph, join_peak = traced_peak(build_incidence_graph, points, family)
+    assert graph.indices.size == 67_200
+    (max_common, _), pair_peak = traced_peak(pair_coverage, graph)
+    assert max_common == 10
+    assert join_peak <= 2 * 2**20
+    assert pair_peak <= 3 * 2**20
+
+
+@pytest.mark.parametrize("d,n,t,points", [(3, 2**17, 729, 130_491), (4, 2**16, 729, 64_881)])
+def test_charge_verify_admits_a2_instances_to_twice_the_old_size(d, n, t, points):
+    # Arithmetic only: nothing is generated.  Pair codes charged at 29 to 33
+    # bytes each refused both; at their own size they take under half the budget.
+    params = normalize_params(d, n, t)
+    assert (params.n, params.A) == (points, 2)
+    assert charge_verify(params) <= srlb.exact.MEMORY_BUDGET
+
 
 @pytest.mark.parametrize("d,n,t,stored", [
     (2, 2**10, "auto", False), (2, 2**14, "auto", False),
