@@ -45,6 +45,10 @@ INCIDENCE_BYTES = 18
 # matching, 24 plus the block's incidences after (58.3 measured at one each).
 BLOCK_VALUE_BYTES = 72
 
+# Bytes of the join's output held to its end: per hyperplane a row length and
+# two indptr copies, per block two arrays and their list slots (250 measured).
+ROW_OUTPUT_BYTES, BLOCK_OUTPUT_BYTES = 24, 320
+
 
 @dataclass(frozen=True, eq=False)
 class IncidenceGraph:
@@ -121,9 +125,10 @@ def build_incidence_graph(points: np.ndarray, family: HyperplaneFamily) -> Incid
     out grouped by base, and each is matched by binary search against the
     points with that base.  This costs O(m*u*log n + incidences) instead of
     testing all n*m pairs; in the grid family u = t.  Once u is known it
-    charges the m*u evaluations and the first block's scratch,
-    BLOCK_VALUE_BYTES per value, and before each block's output that scratch
-    plus the incidences so far, INCIDENCE_BYTES each, the block's own twice.
+    charges the m*u evaluations and, with the first block's scratch
+    (BLOCK_VALUE_BYTES per value), the output held to the end (ROW_OUTPUT_BYTES
+    per hyperplane, BLOCK_OUTPUT_BYTES per block); before each block's output,
+    that plus the incidences so far, INCIDENCE_BYTES each, the block's own twice.
     The pair-by-pair scan it replaced is kept in the tests as the reference.
     """
     coords = point_table(points)
@@ -157,8 +162,9 @@ def build_incidence_graph(points: np.ndarray, family: HyperplaneFamily) -> Incid
 
     rows_per_block = max(1, INCIDENCE_BLOCK // len(bases))
     block_values = min(rows_per_block, m) * len(bases)
-    block_bytes = BLOCK_VALUE_BYTES * block_values
-    charge(f"join blocks of {block_values} values", block_bytes)
+    block_bytes = (BLOCK_VALUE_BYTES * block_values + ROW_OUTPUT_BYTES * (m + 1)
+                   + BLOCK_OUTPUT_BYTES * -(-m // rows_per_block))
+    charge(f"join blocks of {block_values} values and the rows of {m} hyperplanes", block_bytes)
     base_keys = np.arange(0, len(bases) * len(lasts), len(lasts))[:, None]
     indices, row_lengths, joined = [], [], 0
     for lo in range(0, m, rows_per_block):

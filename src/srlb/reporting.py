@@ -1,12 +1,13 @@
 """Instrumented simplex range reporting over integer points.
 
 A kd-tree with exact median splits answers queries given as intersections
-of closed integer halfspaces.  Traversal classifies each subtree's integer
-bounding box against every still-active constraint: Outside subtrees are
-pruned, subtrees Inside all constraints are reported wholesale without
-per-point tests, and only Crossing subtrees are descended.  All predicates
-are exact integer arithmetic; there is no epsilon anywhere, which is what
-lets a two-sided slab select exactly the points on a hyperplane.
+of closed integer halfspaces, each one row normal . x <= offset.  Traversal
+classifies each subtree's integer bounding box against every still-active
+row: Outside subtrees are pruned, subtrees Inside all rows are reported
+wholesale without per-point tests, and only Crossing subtrees are
+descended.  All predicates are exact integer arithmetic; there is no
+epsilon anywhere, which is what lets a two-sided slab select exactly the
+points on a hyperplane.
 """
 
 from __future__ import annotations
@@ -22,51 +23,32 @@ from .errors import ArithmeticOverflow, DimensionMismatch, EmptyInput
 from .exact import MAX_POINTS, checked_dot, envelope, int64_rows
 from .geometry import GridPoint, Hyperplane, InstanceParams, point_table
 
-SENSE_LE = "le"
-SENSE_GE = "ge"
-
 DEFAULT_LEAF_CAPACITY = 4
 
 
 @dataclass(frozen=True)
-class Halfspace:
-    """Closed halfspace: normal . x <= offset (sense 'le') or >= offset ('ge')."""
-
-    normal: tuple[int, ...]
-    offset: int
-    sense: str
-
-    def __post_init__(self) -> None:
-        if all(c == 0 for c in self.normal):
-            raise ValueError("halfspace normal must not be the zero vector")
-        if self.sense not in (SENSE_LE, SENSE_GE):
-            raise ValueError(f"sense must be 'le' or 'ge', got {self.sense!r}")
-
-    def contains(self, p: GridPoint) -> bool:
-        value = checked_dot(self.normal, p)
-        return value <= self.offset if self.sense == SENSE_LE else value >= self.offset
-
-
-@dataclass(frozen=True)
 class SimplexQuery:
-    """Intersection of 1 to d+1 closed halfspaces."""
+    """Intersection of 1 to d+1 closed halfspaces, row i being
+    normals[i] . x <= offsets[i]; a >= constraint is stored negated."""
 
-    constraints: tuple[Halfspace, ...]
+    normals: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.constraints:
-            raise ValueError("a query needs at least one halfspace")
-        dims = {len(c.normal) for c in self.constraints}
+        rows = len(self.normals)
+        if not rows or rows != len(self.offsets):
+            raise ValueError(f"{rows} normals, {len(self.offsets)} offsets: need n >= 1 of each")
+        dims = set(map(len, self.normals))
         if len(dims) != 1:
             raise DimensionMismatch(f"mixed constraint dimensions: {sorted(dims)}")
-        if len(self.constraints) > self.d + 1:
-            raise ValueError(
-                f"{len(self.constraints)} constraints exceed the d+1 = {self.d + 1} cap"
-            )
+        if not all(map(any, self.normals)):
+            raise ValueError("halfspace normal must not be the zero vector")
+        if rows > self.d + 1:
+            raise ValueError(f"{rows} constraints exceed the d+1 = {self.d + 1} cap")
 
     @property
     def d(self) -> int:
-        return len(self.constraints[0].normal)
+        return len(self.normals[0])
 
 
 @dataclass
@@ -91,33 +73,25 @@ class BoxRelation(enum.Enum):
 
 
 def classify_box(
-    lo: Sequence[int], hi: Sequence[int], h: Halfspace
+    lo: Sequence[int], hi: Sequence[int], normal: Sequence[int], offset: int
 ) -> BoxRelation:
-    """Classify an integer box against a closed halfspace, exactly.
+    """Classify an integer box against the closed halfspace normal . x <= offset, exactly.
 
     Evaluates normal . x at the two extreme box vertices picked per the
-    sign of each normal component: Inside iff the worst vertex satisfies
-    the constraint, Outside iff the best vertex violates it.
+    sign of each normal component: Inside iff the largest value is at most
+    offset, Outside iff the smallest exceeds it.
     """
-    if len(lo) != len(hi) or len(lo) != len(h.normal):
+    if len(lo) != len(hi) or len(lo) != len(normal):
         raise DimensionMismatch(
-            f"box is {len(lo)}/{len(hi)}-dimensional, normal has {len(h.normal)} components"
+            f"box is {len(lo)}/{len(hi)}-dimensional, normal has {len(normal)} components"
         )
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError(f"degenerate box: lo={tuple(lo)} hi={tuple(hi)}")
-    vmin = checked_dot(h.normal, [l if c > 0 else h_ for c, l, h_ in zip(h.normal, lo, hi)])
-    vmax = checked_dot(h.normal, [h_ if c > 0 else l for c, l, h_ in zip(h.normal, lo, hi)])
-    if h.sense == SENSE_LE:
-        if vmax <= h.offset:
-            return BoxRelation.INSIDE
-        if vmin > h.offset:
-            return BoxRelation.OUTSIDE
-    else:
-        if vmin >= h.offset:
-            return BoxRelation.INSIDE
-        if vmax < h.offset:
-            return BoxRelation.OUTSIDE
-    return BoxRelation.CROSSING
+    vmin = checked_dot(normal, [l if c > 0 else h for c, l, h in zip(normal, lo, hi)])
+    vmax = checked_dot(normal, [h if c > 0 else l for c, l, h in zip(normal, lo, hi)])
+    if vmax <= offset:
+        return BoxRelation.INSIDE
+    return BoxRelation.OUTSIDE if vmin > offset else BoxRelation.CROSSING
 
 
 @dataclass(frozen=True)
@@ -224,22 +198,22 @@ def build_kdtree(points: np.ndarray, leaf_capacity: int = DEFAULT_LEAF_CAPACITY)
 
 
 def _int64_normals(q: SimplexQuery, max_abs: Sequence[int]) -> np.ndarray:
-    """The constraints' normals as int64 rows, once every normal . x fits int64.
+    """The query's normals as int64 rows, once every normal . x fits int64.
 
     max_abs is the largest |x_i| per axis over the points, so
-    sum(|c_i| * max_abs_i) bounds each constraint's value at every point.
+    sum(|c_i| * max_abs_i) bounds each row's value at every point.
     query and brute_force_query both call this before anything is pruned,
     so they raise ArithmeticOverflow on the same queries.
     """
-    for h in q.constraints:
-        checked_dot(map(abs, h.normal), max_abs)
-    return int64_rows([h.normal for h in q.constraints], len(max_abs), "halfspace normal")
+    for normal in q.normals:
+        checked_dot(map(abs, normal), max_abs)
+    return int64_rows(q.normals, len(max_abs), "halfspace normal")
 
 
-def query(tree: KdTree, q: SimplexQuery) -> tuple[list[GridPoint], QueryStats]:
-    """Report every stored point satisfying all constraints, with stats.
+def query(tree: KdTree, q: SimplexQuery) -> tuple[list[int], QueryStats]:
+    """The ascending ids of the stored points satisfying every row, with stats.
 
-    Constraints found Inside a subtree's box are dropped for that subtree's
+    Rows found Inside a subtree's box are dropped for that subtree's
     descendants; once none remain the whole slice is emitted untested.
     """
     if q.d != tree.dim:
@@ -253,16 +227,16 @@ def query(tree: KdTree, q: SimplexQuery) -> tuple[list[GridPoint], QueryStats]:
     out: list[int] = []
     points, order, boxes, capacity = tree.points, tree.order, tree.boxes, tree.leaf_capacity
 
-    def visit(node: int, start: int, end: int, active: tuple[Halfspace, ...]) -> None:
+    def visit(node: int, start: int, end: int, active: tuple[tuple, ...]) -> None:
         stats.nodes_visited += 1
         lo, hi = boxes[node]
         remaining = []
-        for h in active:
-            rel = classify_box(lo, hi, h)
+        for row in active:
+            rel = classify_box(lo, hi, *row)
             if rel is BoxRelation.OUTSIDE:
                 return
             if rel is BoxRelation.CROSSING:
-                remaining.append(h)
+                remaining.append(row)
         if not remaining:
             out.extend(order[start:end])
             return
@@ -270,49 +244,43 @@ def query(tree: KdTree, q: SimplexQuery) -> tuple[list[GridPoint], QueryStats]:
             stats.leaves_scanned += 1
             for i in order[start:end]:
                 stats.points_tested += 1
-                if all(h.contains(points[i]) for h in remaining):
+                if all(checked_dot(normal, points[i]) <= offset for normal, offset in remaining):
                     out.append(i)
             return
         mid = start + (end - start) // 2
         visit(2 * node + 1, start, mid, tuple(remaining))
         visit(2 * node + 2, mid, end, tuple(remaining))
 
-    visit(0, 0, tree.n, q.constraints)
+    visit(0, 0, tree.n, tuple(zip(q.normals, q.offsets)))
     stats.points_reported = len(out)
-    return [points[i] for i in out], stats
+    out.sort()
+    return out, stats
 
 
 def slab_query_for(h: Hyperplane) -> SimplexQuery:
     """Two-sided slab whose solution set is exactly the hyperplane.
 
-    X_d = b + sum(a_i X_i) rearranges to -sum(a_i X_i) + X_d = b; both
-    closed halfspaces share that boundary, so on integer input the query
-    reports exactly the incident grid points.
+    X_d = b + sum(a_i X_i) is the pair of rows (-a, 1) . x <= b and
+    (a, -1) . x <= -b; both closed halfspaces share that boundary, so on
+    integer input the query reports exactly the incident grid points.
     """
-    normal = tuple(-c for c in h.a) + (1,)
-    return SimplexQuery(
-        constraints=(
-            Halfspace(normal=normal, offset=h.b, sense=SENSE_LE),
-            Halfspace(normal=normal, offset=h.b, sense=SENSE_GE),
-        )
-    )
+    normal = (*(-c for c in h.a), 1)
+    return SimplexQuery((normal, tuple(-c for c in normal)), (h.b, -h.b))
 
 
-def brute_force_query(points: np.ndarray, q: SimplexQuery) -> list[GridPoint]:
-    """Ground-truth scan of the point table, exact; reports tuples in input order."""
+def brute_force_query(points: np.ndarray, q: SimplexQuery) -> np.ndarray:
+    """Ground-truth scan of the point table, exact; the ascending ids of the rows it reports."""
     coords = point_table(points)
-    if not len(coords):
-        return []
     if coords.shape[1] != q.d:
         raise DimensionMismatch(
             f"query is {q.d}-dimensional, points are {coords.shape[1]}-dimensional"
         )
-    normals = _int64_normals(q, envelope(coords))
+    if not len(coords):
+        return np.flatnonzero(())
     mask = np.ones(len(coords), dtype=bool)
-    for h, normal in zip(q.constraints, normals):
-        values = coords @ normal
-        mask &= values <= h.offset if h.sense == SENSE_LE else values >= h.offset
-    return list(zip(*coords[mask].T.tolist()))
+    for normal, offset in zip(_int64_normals(q, envelope(coords)), q.offsets):
+        mask &= coords @ normal <= offset
+    return np.flatnonzero(mask)
 
 
 def random_simplex_queries(
@@ -320,27 +288,23 @@ def random_simplex_queries(
 ) -> list[SimplexQuery]:
     """Seeded random queries: integer normals in [-A, A], offsets spanning the grid.
 
-    Each query uses 1 to d+1 halfspaces.  Offsets are drawn from the exact
-    range the normal attains over the grid bounding box, so queries neither
-    trivially contain nor trivially miss the point set.
+    Each query has 1 to d+1 rows, a last draw negating a row or not.  Offsets
+    come from the exact range the normal attains over the grid bounding box,
+    so queries neither trivially contain nor trivially miss the point set.
     """
     lo = (1,) * params.d
     hi = (params.s,) * (params.d - 1) + (params.rows,)
     queries = []
     for _ in range(count):
-        constraints = []
+        normals, offsets = [], []
         for _ in range(rng.randint(1, params.d + 1)):
             normal = (0,) * params.d
-            while all(c == 0 for c in normal):
+            while not any(normal):
                 normal = tuple(rng.randint(-params.A, params.A) for _ in range(params.d))
             vmin = sum(c * (l if c > 0 else h) for c, l, h in zip(normal, lo, hi))
             vmax = sum(c * (h if c > 0 else l) for c, l, h in zip(normal, lo, hi))
-            constraints.append(
-                Halfspace(
-                    normal=normal,
-                    offset=rng.randint(vmin, vmax),
-                    sense=rng.choice((SENSE_LE, SENSE_GE)),
-                )
-            )
-        queries.append(SimplexQuery(constraints=tuple(constraints)))
+            offset, sign = rng.randint(vmin, vmax), rng.choice((1, -1))
+            normals.append(tuple(sign * c for c in normal))
+            offsets.append(sign * offset)
+        queries.append(SimplexQuery(tuple(normals), tuple(offsets)))
     return queries

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import random
 
@@ -418,14 +419,18 @@ class TestPreflight:
                                                   monkeypatch):
         # The stored sections above: the join's first block holds 16,384 values
         # (8,192 hyperplanes at 2 bases), whose scratch (72 bytes each) is
-        # charged before it exists.
+        # charged before it exists, with the output of all 100,000 rows (24
+        # bytes each, and 320 for each of the 13 blocks).
         doc = json.loads(instance_file.read_text())
         doc["hyperplanes"] *= 12500
         instance_file.write_text(json.dumps(doc))
         monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", 2**20)
         rc, stdout, stderr = run_cli(capsys, "verify", str(instance_file))
         assert (rc, stdout) == (3, "")
-        assert stderr.startswith("error: join blocks of 16384 values take up to 1179648 bytes")
+        assert stderr.startswith(
+            "error: join blocks of 16384 values and the rows of 100000 hyperplanes take up to"
+            " 3583832 bytes"
+        )
         error, peak = traced_peak(verify_instance, load_instance(instance_file))
         assert isinstance(error, InstanceTooLarge)
         assert peak < 800_000  # below one copy of the 8 * 100,000-byte slope column
@@ -660,3 +665,33 @@ RECORDED_REPORTS = {
 def test_report_stdout_is_byte_identical(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli(capsys, *argv)[:2] == (0, RECORDED_REPORTS[argv])
+
+
+# `srlb bench --seed 0` then `srlb fit`, recorded before queries reported
+# row ids: the sha256 of the CSV below its timestamped `#` line, and fit's
+# exact stdout.  A change to the tree, the traversal or the query form that
+# keeps every counter keeps both.
+RECORDED_BENCH = {
+    ("2", "256,1024,4096"): (
+        "a31dbe37b36a00e7ee6c1e075de10956d44b12e8a81781075a260bed50e43122",
+        '{"slope": 0.5369197010342309, "intercept": 1.4937855540381841,'
+        ' "r_squared": 0.9999699053467216, "points_used": 3}\n',
+    ),
+    ("3", "512,2048,4096"): (
+        "952d1b3530f052871351d82f727d6a20a10c704c48cb1fc5d526c99892a6d718",
+        '{"slope": 0.6904073859085826, "intercept": 0.8538952078565689,'
+        ' "r_squared": 0.992721705134812, "points_used": 3}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("d,sizes", list(RECORDED_BENCH), ids="_".join)
+def test_bench_csv_and_fit_stdout_are_pinned(d, sizes, tmp_path, capsys):
+    out = tmp_path / "stats.csv"
+    assert run_cli(capsys, "bench", "-d", d, "--sizes", sizes, "--seed", "0",
+                   "--out", str(out))[0] == 0
+    stamp, body = out.read_bytes().split(b"\n", 1)
+    assert stamp.startswith(b"# srlb bench ")
+    digest, fit_stdout = RECORDED_BENCH[d, sizes]
+    assert hashlib.sha256(body).hexdigest() == digest
+    assert run_cli(capsys, "fit", str(out))[:2] == (0, fit_stdout)

@@ -17,6 +17,7 @@ from srlb.errors import (
 from srlb.exact import INT64_MAX, INT64_MIN, check_int64, envelope, int64_rows
 from srlb.geometry import (
     Hyperplane,
+    HyperplaneFamily,
     InstanceParams,
     eval_hyperplane,
     generate_hyperplanes,
@@ -553,7 +554,7 @@ def test_charge_verify_admits_a2_instances_to_twice_the_old_size(d, n, t, points
     assert charge_verify(params) <= srlb.exact.MEMORY_BUDGET
 
 
-@pytest.mark.parametrize("d,n,t,stored", [
+VERIFY_CASES = [
     (2, 2**10, "auto", False), (2, 2**14, "auto", False),
     (3, 2**10, "auto", False), (3, 2**14, "auto", False),
     (4, 2**10, "auto", False), (4, 2**14, "auto", False),
@@ -562,8 +563,11 @@ def test_charge_verify_admits_a2_instances_to_twice_the_old_size(d, n, t, points
     (4, 2**12, 64, False),  # A = 4
     (2, 65800, "auto", False),  # n = 65,703: uint64 pair codes
     (3, 2**11, 16, True),  # stored sections, five points repeated
-])
-def test_charge_verify_bounds_the_traced_peak(traced_peak, d, n, t, stored):
+]
+
+
+def verify_case(d, n, t, stored):
+    """The params and document of a VERIFY_CASES entry."""
     params = largest_valid_richness(d, n) if t == "auto" else normalize_params(d, n, t)
     doc = InstanceDocument(params=params, points=None, hyperplanes=None)
     if stored:
@@ -571,9 +575,54 @@ def test_charge_verify_bounds_the_traced_peak(traced_peak, d, n, t, stored):
         points += points[:5]
         random.Random(17).shuffle(points)
         doc = InstanceDocument(params, as_table(points), generate_hyperplanes(params))
+    return params, doc
+
+
+@pytest.mark.parametrize("d,n,t,stored", VERIFY_CASES)
+def test_charge_verify_bounds_the_traced_peak(traced_peak, d, n, t, stored):
+    params, doc = verify_case(d, n, t, stored)
     report, peak = traced_peak(verify_instance, doc)
     assert report["richness_exact"] is not stored
     assert peak <= charge_verify(params)
+
+
+def recorded_byte_charges(monkeypatch):
+    """The list to which srlb.incidence.charge, still charging, now appends each byte amount."""
+    amounts, charge = [], srlb.incidence.charge
+
+    def record(what, amount, unit="bytes"):
+        if unit == "bytes":
+            amounts.append(amount)
+        charge(what, amount, unit)
+
+    monkeypatch.setattr(srlb.incidence, "charge", record)
+    return amounts
+
+
+@pytest.mark.parametrize("d,n,t,stored", VERIFY_CASES)
+def test_join_charges_stay_within_charge_verify(monkeypatch, d, n, t, stored):
+    params, doc = verify_case(d, n, t, stored)
+    points = generate_points(params) if doc.points is None else doc.points
+    family = generate_hyperplanes(params) if doc.hyperplanes is None else doc.hyperplanes
+    charges = recorded_byte_charges(monkeypatch)
+    build_incidence_graph(points, family)
+    assert max(charges) <= charge_verify(params)
+
+
+@pytest.mark.parametrize("side", [8, 32])
+def test_join_peak_stays_within_its_charges(traced_peak, monkeypatch, side):
+    # 4,096 points at up to side**2 distinct bases against 80,000 stored
+    # hyperplanes that meet none of them, so the output (a row length and two
+    # indptr copies per hyperplane, two arrays per block) outweighs a block's
+    # scratch.  Charging the scratch alone, the join peaked at 2.35 MB (side 8)
+    # and 3.71 MB (side 32) against largest charges of 1.18 and 1.15 MB.
+    rng = np.random.default_rng(side)
+    points = np.column_stack((rng.integers(1, side + 1, (4096, 2)), rng.integers(1, 1000, 4096)))
+    family = HyperplaneFamily(np.ones((80_000, 2), np.int64), np.full(80_000, 10**6, np.int64))
+    charges = recorded_byte_charges(monkeypatch)
+    graph, peak = traced_peak(build_incidence_graph, points, family)
+    assert graph.indices.size == 0
+    assert peak <= max(charges)
 
 
 def reference_containment(hyperplanes, params):

@@ -8,7 +8,7 @@ import pytest
 import srlb.reporting
 from conftest import as_table, point_rows
 from srlb.errors import ArithmeticOverflow, DimensionMismatch, EmptyInput
-from srlb.exact import INT64_MAX, INT64_MIN
+from srlb.exact import INT64_MAX, INT64_MIN, checked_dot
 from srlb.geometry import (
     Hyperplane,
     generate_hyperplanes,
@@ -19,7 +19,6 @@ from srlb.geometry import (
 )
 from srlb.reporting import (
     BoxRelation,
-    Halfspace,
     QueryStats,
     SimplexQuery,
     brute_force_query,
@@ -31,76 +30,66 @@ from srlb.reporting import (
 )
 
 
+def satisfies(rows, p):
+    """Whether point p meets every (normal, offset) row: normal . p <= offset."""
+    return all(checked_dot(normal, p) <= offset for normal, offset in rows)
+
+
 class TestHalfspaceAndQueryTypes:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
-            Halfspace(normal=(0, 0), offset=1, sense="le")
-
-    def test_bad_sense_rejected(self):
-        with pytest.raises(ValueError):
-            Halfspace(normal=(1, 0), offset=1, sense="<=")
+            SimplexQuery(((1, 0), (0, 0)), (1, 1))
 
     def test_constraint_count_cap(self):
-        h = Halfspace(normal=(1, 0), offset=5, sense="le")
         with pytest.raises(ValueError):
-            SimplexQuery(constraints=(h,) * 4)
+            SimplexQuery(((1, 0),) * 4, (5,) * 4)
         with pytest.raises(ValueError):
-            SimplexQuery(constraints=())
+            SimplexQuery((), ())
+        with pytest.raises(ValueError):  # one offset per normal
+            SimplexQuery(((1, 0), (0, 1)), (5,))
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
-            SimplexQuery(
-                constraints=(
-                    Halfspace(normal=(1, 0), offset=1, sense="le"),
-                    Halfspace(normal=(1, 0, 0), offset=1, sense="le"),
-                )
-            )
+            SimplexQuery(((1, 0), (1, 0, 0)), (1, 1))
 
     def test_contains_is_closed(self):
-        h = Halfspace(normal=(2, -1), offset=3, sense="le")
-        assert h.contains((2, 1)) is True  # 4 - 1 = 3 on the boundary
-        assert h.contains((2, 0)) is False
+        # 2*2 - 1 = 3 lies on the boundary of 2*x1 - x2 <= 3; 2*2 - 0 = 4 does not.
+        points, q = as_table([(2, 1), (2, 0)]), SimplexQuery(((2, -1),), (3,))
+        assert brute_force_query(points, q).tolist() == [0]
+        assert query(build_kdtree(points, leaf_capacity=1), q)[0] == [0]
 
 
 class TestClassifyBox:
     def test_outside_above(self):
-        h = Halfspace(normal=(0, 1), offset=9, sense="ge")
-        assert classify_box((1, 1), (2, 8), h) is BoxRelation.OUTSIDE
+        # x_2 >= 9 as the row -x_2 <= -9.
+        assert classify_box((1, 1), (2, 8), (0, -1), -9) is BoxRelation.OUTSIDE
 
     def test_crossing_diagonal(self):
-        # x_2 - x_1 >= 0: vertex (1,8) gives 7, vertex (2,1) gives -1.
-        h = Halfspace(normal=(-1, 1), offset=0, sense="ge")
-        assert classify_box((1, 1), (2, 8), h) is BoxRelation.CROSSING
+        # x_1 - x_2 <= 0: vertex (1,8) gives -7, vertex (2,1) gives 1.
+        assert classify_box((1, 1), (2, 8), (1, -1), 0) is BoxRelation.CROSSING
 
     def test_boundary_box_inside_for_le(self):
-        h = Halfspace(normal=(1, 1), offset=4, sense="le")
-        assert classify_box((2, 2), (2, 2), h) is BoxRelation.INSIDE
+        assert classify_box((2, 2), (2, 2), (1, 1), 4) is BoxRelation.INSIDE
 
     def test_flat_box_on_boundary_both_senses(self):
-        # Box flat in x_2 sits entirely on x_2 = 3; closed halfspaces own it.
-        le = Halfspace(normal=(0, 1), offset=3, sense="le")
-        ge = Halfspace(normal=(0, 1), offset=3, sense="ge")
-        assert classify_box((1, 3), (5, 3), le) is BoxRelation.INSIDE
-        assert classify_box((1, 3), (5, 3), ge) is BoxRelation.INSIDE
+        # Box flat in x_2 sits entirely on x_2 = 3; both closed sides own it.
+        assert classify_box((1, 3), (5, 3), (0, 1), 3) is BoxRelation.INSIDE
+        assert classify_box((1, 3), (5, 3), (0, -1), -3) is BoxRelation.INSIDE
 
     def test_inside_le(self):
-        h = Halfspace(normal=(1, 0), offset=10, sense="le")
-        assert classify_box((1, 1), (2, 8), h) is BoxRelation.INSIDE
+        assert classify_box((1, 1), (2, 8), (1, 0), 10) is BoxRelation.INSIDE
 
     def test_degenerate_box_rejected(self):
-        h = Halfspace(normal=(1, 0), offset=1, sense="le")
         with pytest.raises(ValueError):
-            classify_box((2, 1), (1, 8), h)
+            classify_box((2, 1), (1, 8), (1, 0), 1)
 
     def test_dimension_mismatch(self):
-        h = Halfspace(normal=(1, 0, 0), offset=1, sense="le")
         with pytest.raises(DimensionMismatch):
-            classify_box((1, 1), (2, 8), h)
+            classify_box((1, 1), (2, 8), (1, 0, 0), 1)
 
     def test_overflow(self):
-        h = Halfspace(normal=(INT64_MAX, 1), offset=0, sense="le")
         with pytest.raises(ArithmeticOverflow):
-            classify_box((2, 1), (3, 8), h)
+            classify_box((2, 1), (3, 8), (INT64_MAX, 1), 0)
 
     def test_exhaustive_against_vertex_scan(self):
         # Every vertex tested directly must reproduce the classification.
@@ -111,11 +100,11 @@ class TestClassifyBox:
             normal = (0, 0)
             while normal == (0, 0):
                 normal = (rng.randint(-3, 3), rng.randint(-3, 3))
-            h = Halfspace(normal=normal, offset=rng.randint(-20, 20),
-                          sense=rng.choice(("le", "ge")))
+            offset, sign = rng.randint(-20, 20), rng.choice((1, -1))
+            normal, offset = tuple(sign * c for c in normal), sign * offset
             vertices = [(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]
-            inside = [h.contains(v) for v in vertices]
-            rel = classify_box(lo, hi, h)
+            inside = [satisfies([(normal, offset)], v) for v in vertices]
+            rel = classify_box(lo, hi, normal, offset)
             if all(inside):
                 assert rel is BoxRelation.INSIDE
             elif not any(inside):
@@ -149,7 +138,7 @@ class TestBuildKdTree:
     def test_refuses_what_is_not_a_point_table(self, points):
         # point_table admits only an (n, d) int64 table with d >= 1, so a
         # zero-width table cannot reach the axis cycle `level % d`.
-        q = SimplexQuery((Halfspace(normal=(1,), offset=0, sense="le"),))
+        q = SimplexQuery(((1,),), (0,))
         with pytest.raises(ValueError, match="int64 point table"):
             build_kdtree(points)
         with pytest.raises(ValueError, match="int64 point table"):
@@ -215,28 +204,23 @@ class TestQuery:
         params, points, _ = d2_instance
         tree = build_kdtree(points)
         reported, stats = query(tree, slab_query_for(Hyperplane(a=(1,), b=1)))
-        assert set(reported) == {(1, 2), (2, 3)}
+        assert reported == sorted(reported)
+        assert {point_rows(points)[i] for i in reported} == {(1, 2), (2, 3)}
         assert stats.points_reported == 2 == params.t
 
     def test_whole_grid_halfspace_short_circuits(self, d2_instance):
         _, points, _ = d2_instance
         tree = build_kdtree(points)
-        q = SimplexQuery((Halfspace(normal=(0, 1), offset=100, sense="le"),))
-        reported, stats = query(tree, q)
-        assert len(reported) == 16
+        reported, stats = query(tree, SimplexQuery(((0, 1),), (100,)))
+        assert reported == list(range(16))
         assert stats.nodes_visited == 1
         assert stats.points_tested == 0
 
     def test_contradictory_halfspaces_empty(self, d2_instance):
         _, points, _ = d2_instance
         tree = build_kdtree(points)
-        q = SimplexQuery(
-            (
-                Halfspace(normal=(1, 0), offset=0, sense="le"),
-                Halfspace(normal=(1, 0), offset=1, sense="ge"),
-            )
-        )
-        reported, stats = query(tree, q)
+        # x_1 <= 0 and x_1 >= 1.
+        reported, stats = query(tree, SimplexQuery(((1, 0), (-1, 0)), (0, -1)))
         assert reported == []
         assert stats.points_reported == 0
 
@@ -244,19 +228,18 @@ class TestQuery:
         _, points, _ = d2_instance
         tree = build_kdtree(points)
         with pytest.raises(DimensionMismatch):
-            query(tree, SimplexQuery((Halfspace(normal=(1, 0, 0), offset=1, sense="le"),)))
+            query(tree, SimplexQuery(((1, 0, 0),), (1,)))
 
     def test_no_duplicates_in_output(self, d3_instance):
         _, points, _ = d3_instance
         tree = build_kdtree(points)
-        q = SimplexQuery((Halfspace(normal=(1, 1, -1), offset=0, sense="le"),))
-        reported, _ = query(tree, q)
+        reported, _ = query(tree, SimplexQuery(((1, 1, -1),), (0,)))
         assert len(reported) == len(set(reported))
 
     def test_deterministic_stats(self, d3_instance):
         _, points, _ = d3_instance
         tree = build_kdtree(points)
-        q = SimplexQuery((Halfspace(normal=(1, -2, 1), offset=3, sense="ge"),))
+        q = SimplexQuery(((-1, 2, -1),), (-3,))
         r1, s1 = query(tree, q)
         r2, s2 = query(tree, q)
         assert r1 == r2 and s1 == s2
@@ -284,39 +267,45 @@ class TestQuery:
 
 class TestSlabQuery:
     def test_structure(self):
-        q = slab_query_for(Hyperplane(a=(1,), b=1))
-        assert [c.sense for c in q.constraints] == ["le", "ge"]
-        assert all(c.normal == (-1, 1) and c.offset == 1 for c in q.constraints)
+        # x_2 - x_1 <= 1 and x_2 - x_1 >= 1.
+        assert slab_query_for(Hyperplane(a=(1,), b=1)) == SimplexQuery(((-1, 1), (1, -1)), (1, -1))
 
     def test_3d_structure(self):
         q = slab_query_for(Hyperplane(a=(2, 3), b=5))
-        assert all(c.normal == (-2, -3, 1) and c.offset == 5 for c in q.constraints)
+        assert q == SimplexQuery(((-2, -3, 1), (2, 3, -1)), (5, -5))
 
     @pytest.mark.parametrize("d,n,t", [(2, 16, 2), (3, 96, 4), (2, 1012, 22)])
     def test_every_family_slab_reports_exactly_t(self, d, n, t):
         params = normalize_params(d, n, t)
         points = generate_points(params)
         tree = build_kdtree(points)
+        rows = point_rows(points)
         for h in generate_hyperplanes(params):
             reported, stats = query(tree, slab_query_for(h))
             assert stats.points_reported == params.t
-            assert set(reported) == set(incident_points(h, params))
+            assert {rows[i] for i in reported} == set(incident_points(h, params))
 
 
 class TestBruteForceOracle:
     def test_whole_grid(self, d2_instance):
         _, points, _ = d2_instance
-        q = SimplexQuery((Halfspace(normal=(0, 1), offset=100, sense="le"),))
-        assert brute_force_query(points, q) == point_rows(points)
+        reported = brute_force_query(points, SimplexQuery(((0, 1),), (100,)))
+        assert np.array_equal(reported, np.arange(16))
 
     def test_empty_points(self):
-        q = SimplexQuery((Halfspace(normal=(0, 1), offset=100, sense="le"),))
-        assert brute_force_query(as_table([], 2), q) == []
+        reported = brute_force_query(as_table([], 2), SimplexQuery(((0, 1),), (100,)))
+        assert isinstance(reported, np.ndarray) and reported.size == 0
 
     def test_dimension_mismatch(self, d2_instance):
         _, points, _ = d2_instance
         with pytest.raises(DimensionMismatch):
-            brute_force_query(points, SimplexQuery((Halfspace((1, 1, 1), 0, "le"),)))
+            brute_force_query(points, SimplexQuery(((1, 1, 1),), (0,)))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_dimension_checked_before_the_empty_shortcut(self, n):
+        # A 3-d query on a 2-d table is refused whether or not it holds points.
+        with pytest.raises(DimensionMismatch):
+            brute_force_query(as_table([(1, 2)] * n, 2), SimplexQuery(((1, 1, 1),), (0,)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_query_matches_brute_force_on_random_queries(self, seed, d3_instance):
@@ -325,7 +314,7 @@ class TestBruteForceOracle:
         rng = random.Random(seed)
         for q in random_simplex_queries(params, 200, rng):
             reported, _ = query(tree, q)
-            assert set(reported) == set(brute_force_query(points, q))
+            assert np.array_equal(reported, brute_force_query(points, q))
 
 
 def _table_inputs():
@@ -361,10 +350,10 @@ class TestPointTables:
                     reported = brute_force_query(table, q)
                 except ArithmeticOverflow:
                     continue  # assert_matches_reference checks the envelope
-                # The points that pass every test, in input order, as tuples.
-                assert reported == [
-                    p for p in points if all(h.contains(p) for h in q.constraints)
-                ]
+                # The ids of the points that pass every row, ascending.
+                rows = list(zip(q.normals, q.offsets))
+                expected = [i for i, p in enumerate(points) if satisfies(rows, p)]
+                assert np.array_equal(reported, expected)
 
 
 class TestOracleEnvelope:
@@ -374,7 +363,7 @@ class TestOracleEnvelope:
         # |x1| + |x2| reaches 2**63 + 1: an int64 scan would wrap the value
         # -2**63 - 1 of the first point to INT64_MAX and silently drop it.
         points = as_table([(-(2**63), -1), (0, 0)])
-        q = SimplexQuery((Halfspace((1, 1), 0, "le"),))
+        q = SimplexQuery(((1, 1),), (0,))
         with pytest.raises(ArithmeticOverflow):
             brute_force_query(points, q)
         with pytest.raises(ArithmeticOverflow):
@@ -382,28 +371,27 @@ class TestOracleEnvelope:
 
     def test_bound_at_int64_max_agrees(self):
         points = [(-(2**63) + 1, 5), (0, 0), (1, -1)]
-        q = SimplexQuery((Halfspace((1, 0), 0, "le"),))
+        q = SimplexQuery(((1, 0),), (0,))
         reported, _ = query(build_kdtree(as_table(points)), q)
-        assert sorted(brute_force_query(as_table(points), q)) == sorted(reported) == points[:2]
+        assert brute_force_query(as_table(points), q).tolist() == reported == [0, 1]
 
     @pytest.mark.parametrize(
-        "points,constraints",
+        "points,normals,offsets",
         [
             # The envelope (2**62, 2**62) bounds |x1 + x2| by 2**63, although
             # no box vertex the traversal evaluates gets that far.
-            ([(-(2**62), 0), (0, 2**62)], (Halfspace((1, 1), 0, "le"),)),
-            # The first constraint prunes the root, so the traversal never
+            ([(-(2**62), 0), (0, 2**62)], ((1, 1),), (0,)),
+            # The first row prunes the root, so the traversal never
             # evaluates the second one.
-            ([(0, 0), (1, 1)],
-             (Halfspace((1, 0), -5, "le"), Halfspace((2**62, 2**62), 0, "le"))),
+            ([(0, 0), (1, 1)], ((1, 0), (2**62, 2**62)), (-5, 0)),
             # A zero envelope bounds every value by 0, but the normal itself
             # does not fit int64.
-            ([(0, 0), (0, 0)], (Halfspace((2**64, 1), 0, "le"),)),
+            ([(0, 0), (0, 0)], ((2**64, 1),), (0,)),
         ],
         ids=["per_axis_maximum", "after_pruning_constraint", "normal_outside_int64"],
     )
-    def test_envelope_overflow_raises_in_both(self, points, constraints):
-        points, q = as_table(points), SimplexQuery(constraints)
+    def test_envelope_overflow_raises_in_both(self, points, normals, offsets):
+        points, q = as_table(points), SimplexQuery(normals, offsets)
         with pytest.raises(ArithmeticOverflow):
             brute_force_query(points, q)
         with pytest.raises(ArithmeticOverflow):
@@ -420,10 +408,21 @@ class TestRandomQueries:
     def test_shape_constraints(self, d3_instance):
         params, _, _ = d3_instance
         for q in random_simplex_queries(params, 100, random.Random(3)):
-            assert 1 <= len(q.constraints) <= params.d + 1
-            for h in q.constraints:
-                assert any(c != 0 for c in h.normal)
-                assert all(-params.A <= c <= params.A for c in h.normal)
+            assert 1 <= len(q.normals) == len(q.offsets) <= params.d + 1
+            for normal in q.normals:
+                assert any(c != 0 for c in normal)
+                assert all(-params.A <= c <= params.A for c in normal)
+
+    def test_stream_is_pinned(self, d3_instance):
+        # The first draws of Random(9), recorded when a constraint was a
+        # normal with an 'le' or 'ge' sense; a 'ge' one is written negated.
+        params, _, _ = d3_instance
+        assert random_simplex_queries(params, 3, random.Random(9)) == [
+            SimplexQuery(((1, 0, -2), (-1, -4, -3), (-4, 4, -2), (2, -2, -2)),
+                         (-36, -18, -8, -35)),
+            SimplexQuery(((-2, 4, -3),), (-23,)),
+            SimplexQuery(((1, 1, -2), (-1, 2, 0), (1, 4, -2)), (-3, 2, 5)),
+        ]
 
 
 class _ReferenceNode:
@@ -475,19 +474,19 @@ def reference_build_kdtree(points, leaf_capacity):
 
 
 def reference_query(root, points, order, q):
-    """The recursive traversal over the object graph; returns (reported, stats)."""
+    """The recursive traversal over the object graph; returns (ascending ids, stats)."""
     stats = QueryStats()
     out = []
 
     def visit(node, active):
         stats.nodes_visited += 1
         remaining = []
-        for h in active:
-            rel = classify_box(node.lo, node.hi, h)
+        for normal, offset in active:
+            rel = classify_box(node.lo, node.hi, normal, offset)
             if rel is BoxRelation.OUTSIDE:
                 return
             if rel is BoxRelation.CROSSING:
-                remaining.append(h)
+                remaining.append((normal, offset))
         if not remaining:
             out.extend(order[node.start : node.end])
             return
@@ -495,15 +494,15 @@ def reference_query(root, points, order, q):
             stats.leaves_scanned += 1
             for i in order[node.start : node.end]:
                 stats.points_tested += 1
-                if all(h.contains(points[i]) for h in remaining):
+                if satisfies(remaining, points[i]):
                     out.append(i)
             return
         visit(node.left, tuple(remaining))
         visit(node.right, tuple(remaining))
 
-    visit(root, q.constraints)
+    visit(root, tuple(zip(q.normals, q.offsets)))
     stats.points_reported = len(out)
-    return [points[i] for i in out], stats
+    return sorted(out), stats
 
 
 def _reference_boxes(root):
@@ -518,16 +517,16 @@ def _reference_boxes(root):
 
 
 def _random_query(rng, d):
-    constraints = []
+    normals, offsets = [], []
     for _ in range(rng.randint(1, d + 1)):
         normal = (0,) * d
         while not any(normal):
             normal = tuple(rng.randint(-3, 3) for _ in range(d))
         reach = 5 * sum(map(abs, normal))
-        constraints.append(
-            Halfspace(normal, rng.randint(-reach, reach), rng.choice(("le", "ge")))
-        )
-    return SimplexQuery(tuple(constraints))
+        offset, sign = rng.randint(-reach, reach), rng.choice((1, -1))
+        normals.append(tuple(sign * c for c in normal))
+        offsets.append(sign * offset)
+    return SimplexQuery(tuple(normals), tuple(offsets))
 
 
 def assert_matches_reference(points, leaf_capacity, queries):
@@ -535,7 +534,7 @@ def assert_matches_reference(points, leaf_capacity, queries):
     the object-graph reference; returns the tree.
 
     The tree must match in order, node count and boxes (as Python ints), and
-    every query must give the same reported points and stats.  A query
+    every query must give the same reported ids and stats.  A query
     whose values may leave int64 must be refused by the oracle too.
     """
     table = as_table(points)
@@ -615,7 +614,7 @@ class TestHeapLayoutMatchesObjectGraph:
             points[0] = (INT64_MIN,) * (d - 1) + (0,)
             points[1] = (INT64_MAX,) * (d - 1) + (0,)
             queries = [_random_query(rng, d) for _ in range(20)]
-            queries += [SimplexQuery((Halfspace((0,) * (d - 1) + (1,), 0, "le"),))]
+            queries += [SimplexQuery(((0,) * (d - 1) + (1,),), (0,))]
             assert_matches_reference(points, leaf_capacity, queries)
         # Every axis at the limits: the boxes must still match.
         for d in (1, 2):
