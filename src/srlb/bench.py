@@ -54,15 +54,15 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("plan needs at least one size")
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError(f"sizes must be strictly increasing, got {self.sizes}")
         if self.t_rule != T_RULE_AUTO and not self.t_rule.startswith("fixed:"):
             raise ValueError(f"t rule must be 'auto' or 'fixed:<t>', got {self.t_rule!r}")
         if self.leaf_capacity < 1:  # build_kdtree's check, before any file opens
             raise ValueError(f"leaf capacity must be >= 1, got {self.leaf_capacity}")
-        # Every (n, t) pair must normalize; surfaces RangeTooTight up front.
-        for n in self.sizes:
-            self.resolve_params(n)
+        # Every (n, t) pair must normalize (RangeTooTight up front), and to a
+        # larger n than the last, or fit would count one instance twice.
+        resolved = tuple(self.resolve_params(n).n for n in self.sizes)
+        if any(b <= a for a, b in zip(resolved, resolved[1:])):
+            raise ValueError(f"sizes {self.sizes} give n = {resolved}, not strictly increasing")
 
     def resolve_params(self, n: int) -> InstanceParams:
         if self.t_rule == T_RULE_AUTO:

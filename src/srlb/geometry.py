@@ -17,7 +17,7 @@ import itertools
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -113,18 +113,11 @@ def _int64_power(base: int, exp: int) -> Optional[int]:
     return None if base >= 2 and exp > 63 else base**exp
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """Graph hyperplane X_d = b + sum(a_i * X_i) with positive integer coefficients."""
+class Hyperplane(NamedTuple):
+    """Graph hyperplane X_d = b + sum(a_i * X_i); HyperplaneFamily checks the coefficients."""
 
     a: tuple[int, ...]
     b: int
-
-    def __post_init__(self) -> None:
-        if len(self.a) < 1:
-            raise ValueError("hyperplane needs at least one slope coefficient")
-        if min(self.a) < 1 or self.b < 1:
-            raise ValueError(f"coefficients must be >= 1, got a={self.a}, b={self.b}")
 
     @property
     def d(self) -> int:
@@ -135,10 +128,10 @@ class HyperplaneFamily:
     """Hyperplanes held as int64 columns: slopes (m, d-1) and offsets (m,).
 
     Sized, int-indexable and iterable: an int index builds one Hyperplane,
-    and iteration builds them from one tolist() per column.  Every
-    coefficient is checked to be >= 1 at construction, with the message
-    Hyperplane gives for the first row that is not.  The arrays are frozen
-    in place, not copied, so nothing may write to them or their bases later.
+    and iteration builds them from one tolist() per column.  Every row
+    enters the library through here, so this is where each coefficient is
+    checked to be >= 1; the first row that is not is named.  The arrays are
+    frozen in place, not copied, so nothing may write to them or their bases later.
     """
 
     def __init__(self, slopes: np.ndarray, offsets: np.ndarray) -> None:
@@ -148,9 +141,10 @@ class HyperplaneFamily:
         ):
             raise ValueError("need int64 slopes of shape (m, d-1), d >= 2, and offsets (m,)")
         bad = (slopes < 1).any(axis=1) | (offsets < 1)
-        if bad.any():  # Hyperplane owns the message; it raises for this row
+        if bad.any():
             first = int(bad.argmax())
-            Hyperplane(tuple(slopes[first].tolist()), int(offsets[first]))
+            a, b = tuple(slopes[first].tolist()), int(offsets[first])
+            raise ValueError(f"coefficients must be >= 1, got a={a}, b={b}")
         slopes.flags.writeable = offsets.flags.writeable = False
         self.slopes, self.offsets = slopes, offsets
 
@@ -246,16 +240,12 @@ def generate_hyperplanes(params: InstanceParams) -> HyperplaneFamily:
 
 
 def hyperplane_at(params: InstanceParams, index: int) -> Hyperplane:
-    """The index-th hyperplane of the lexicographic family order, without
-    materializing the family (mixed-radix decode, b varying fastest)."""
+    """The index-th hyperplane of generate_hyperplanes' order, without
+    materializing the family: the same C-order digits np.indices fills."""
     if not 0 <= index < params.m:
         raise ValueError(f"hyperplane index {index} outside 0..{params.m - 1}")
-    index, b = divmod(index, params.B)
-    a = []
-    for _ in range(params.d - 1):
-        index, digit = divmod(index, params.A)
-        a.append(digit + 1)
-    return Hyperplane(a=tuple(reversed(a)), b=b + 1)
+    *a, b = np.unravel_index(index, (params.A,) * (params.d - 1) + (params.B,))
+    return Hyperplane(a=tuple(int(c) + 1 for c in a), b=int(b) + 1)
 
 
 def eval_hyperplane(h: Hyperplane, base: tuple[int, ...]) -> int:

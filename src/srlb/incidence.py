@@ -100,13 +100,16 @@ def _first_row_over(family: HyperplaneFamily, max_abs: Sequence[int]) -> int:
 
     That bound caps |b + sum(a_i * x_i)| and every partial sum for every x
     with |x_i| <= max_abs_i.  The column envelopes settle the common case;
-    only when their bound fails are the rows summed one by one.
+    only when their bound fails are the rows summed one by one, made ints
+    INCIDENCE_BLOCK rows at a time.
     """
     bound = sum(c * mx for c, mx in zip(envelope(family.slopes), max_abs))
     if bound + envelope(family.offsets[:, None])[0] <= INT64_MAX:
         return len(family)
     weights = (1, *max_abs)  # coefficients are >= 1, so |c| = c
-    rows = zip(family.offsets.tolist(), *family.slopes.T.tolist())
+    cuts = range(INCIDENCE_BLOCK, len(family), INCIDENCE_BLOCK)
+    blocks = zip(np.split(family.offsets, cuts), np.split(family.slopes, cuts))
+    rows = (row for b, a in blocks for row in zip(b.tolist(), *a.T.tolist()))
     over = (j for j, row in enumerate(rows) if sum(map(mul, row, weights)) > INT64_MAX)
     return next(over, len(family))
 

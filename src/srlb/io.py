@@ -93,7 +93,7 @@ def instance_from_dict(doc: dict) -> InstanceDocument:
         except KeyError as exc:
             index = next(i for i, h in enumerate(stored) if exc.args[0] not in h)
             raise ValueError(f"hyperplane {index} has no {exc.args[0]!r} key") from None
-        # The family rejects coefficients below 1, as Hyperplane(a, b) does.
+        # The family rejects coefficients below 1, naming the first such row.
         hyperplanes = HyperplaneFamily(slopes, offsets)
     return InstanceDocument(params=params, points=points, hyperplanes=hyperplanes)
 
@@ -270,15 +270,21 @@ class StatsCsvWriter:
 
 
 def read_stats_csv(path: PathLike) -> list[dict]:
-    """Read stats rows back; '#' comment lines are skipped."""
+    """Read stats rows back; '#' comment lines and blank rows are skipped, and
+    a row of more or fewer fields than the header is a ValueError naming it."""
     with open(path, newline="") as fh:
         lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != STATS_HEADER:
-        raise ValueError(
-            f"unexpected stats header {reader.fieldnames}, want {list(STATS_HEADER)}"
-        )
-    return list(reader)
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or tuple(header) != STATS_HEADER:
+        raise ValueError(f"unexpected stats header {header}, want {list(STATS_HEADER)}")
+    rows = [row for row in reader if row]
+    for row in rows:
+        if len(row) != len(STATS_HEADER):
+            raise ValueError(
+                f"stats row {','.join(row)!r} has {len(row)} fields, want {len(STATS_HEADER)}"
+            )
+    return [dict(zip(STATS_HEADER, row)) for row in rows]
 
 
 def stats_row(

@@ -37,6 +37,11 @@ class TestExperimentPlan:
             ExperimentPlan(d=2, sizes=(64, 64), t_rule="auto", seed=0)
         with pytest.raises(ValueError):
             ExperimentPlan(d=2, sizes=(), t_rule="auto", seed=0)
+        # Increasing sizes that normalize to the same n as the one before.
+        with pytest.raises(ValueError):
+            ExperimentPlan(d=2, sizes=(100, 101, 102), t_rule="auto", seed=0)
+        with pytest.raises(ValueError):
+            ExperimentPlan(d=2, sizes=(64, 66), t_rule="fixed:4", seed=0)
 
     def test_bad_rule(self):
         with pytest.raises(ValueError):

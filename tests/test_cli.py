@@ -321,13 +321,14 @@ class TestVerifyRecorded:
         path.write_text(json.dumps(verify_fixtures()[name]))
 
         # Nor any Hyperplane object: the family stays int64 columns throughout.
-        def refuse(self, *args):
-            raise AssertionError(f"verify built {type(self).__name__} objects")
+        def refuse(self, *args):  # as Hyperplane.__new__, self is the class
+            kind = self if isinstance(self, type) else type(self)
+            raise AssertionError(f"verify built {kind.__name__} objects")
 
         # Nor a point tuple: loaded or regenerated (d2_bare_params), the
         # points reach the join as a table, as point_table admits nothing else.
         monkeypatch.setattr(IncidenceGraph, "adjacency", property(refuse))
-        monkeypatch.setattr(Hyperplane, "__post_init__", refuse)
+        monkeypatch.setattr(Hyperplane, "__new__", refuse)
         report = verify_instance(load_instance(path))
         rc, stdout, _ = run_cli(capsys, "verify", str(path))
         assert (rc, stdout) == RECORDED_VERIFY[name]
@@ -561,6 +562,26 @@ class TestBenchAndFit:
         rc, stdout, stderr = run_cli(capsys, "fit", str(out))
         assert (rc, stdout) == (2, "")
         assert stderr.startswith("error: mean row ") and f"{column}={value}" in stderr
+
+    @pytest.mark.parametrize("row,fields", [("1024,2,mean", 3), ("1024,2,mean,1,9,1,1,7", 8)],
+                             ids=["short", "long"])
+    def test_fit_refuses_a_row_of_the_wrong_width(self, tmp_path, capsys, row, fields):
+        # A short row once ended in a TypeError traceback; a long one was fitted.
+        out = tmp_path / "stats.csv"
+        out.write_text(",".join(STATS_HEADER) + "\n" + "".join(
+            f"{n},2,mean,1,{n // 8},1,1\n" for n in (256, 4096)) + row + "\n")
+        rc, stdout, stderr = run_cli(capsys, "fit", str(out))
+        error = f"error: stats row {row!r} has {fields} fields, want 7\n"
+        assert (rc, stdout, stderr) == (2, "", error)
+
+    def test_bench_refuses_sizes_that_resolve_to_one_instance(self, tmp_path, capsys):
+        # All three normalize to n = 98, which fit would count three times.
+        out = tmp_path / "x.csv"
+        rc, stdout, stderr = run_cli(capsys, "bench", "-d", "2", "--sizes", "100,101,102",
+                                     "--out", str(out))
+        error = "error: sizes (100, 101, 102) give n = (98, 98, 98), not strictly increasing\n"
+        assert (rc, stdout, stderr) == (2, "", error)
+        assert not out.exists()
 
     @pytest.mark.parametrize("size,n,cost", [
         # 2**24 normalizes to 16,776,528 points; at 2**32 the points alone are

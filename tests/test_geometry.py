@@ -296,13 +296,21 @@ class TestGenerateHyperplanes:
         with pytest.raises(ValueError):
             hyperplane_at(params, params.m)
 
+    def test_d3_order_is_pinned(self):
+        # The (a, b) order written out, so it has a reference outside numpy.
+        params = normalize_params(3, 96, 4)
+        assert (params.A, params.B, params.m) == (4, 8, 128)
+        family = generate_hyperplanes(params)
+        expected = [Hyperplane(a=(1, 1), b=b) for b in range(1, 9)] + [Hyperplane(a=(1, 2), b=1)]
+        last = Hyperplane(a=(4, 4), b=8)
+        assert list(family)[:9] == expected and family[127] == last
+        assert [hyperplane_at(params, i) for i in (*range(9), 127)] == [*expected, last]
+
     def test_hyperplane_validation(self):
-        with pytest.raises(ValueError):
-            Hyperplane(a=(), b=1)
-        with pytest.raises(ValueError):
-            Hyperplane(a=(0,), b=1)
-        with pytest.raises(ValueError):
-            Hyperplane(a=(1,), b=0)
+        # The family checks every row it is given; a Hyperplane is a plain value.
+        for slopes, offsets in [(np.ones((1, 0), np.int64), [1]), ([[0]], [1]), ([[1]], [0])]:
+            with pytest.raises(ValueError):
+                HyperplaneFamily(np.array(slopes, np.int64), np.array(offsets, np.int64))
 
 
 def _columns(rows):
@@ -341,11 +349,10 @@ class TestHyperplaneFamily:
         ],
     )
     def test_first_bad_row_named_as_hyperplane_names_it(self, rows, bad):
-        with pytest.raises(ValueError) as expected:
-            Hyperplane(a=rows[bad][:-1], b=rows[bad][-1])
         with pytest.raises(ValueError) as raised:
             HyperplaneFamily(*_columns(rows))
-        assert str(raised.value) == str(expected.value)
+        a, b = rows[bad][:-1], rows[bad][-1]
+        assert str(raised.value) == f"coefficients must be >= 1, got a={a}, b={b}"
 
     @pytest.mark.parametrize(
         "slopes,offsets",

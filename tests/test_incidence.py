@@ -625,6 +625,23 @@ def test_join_peak_stays_within_its_charges(traced_peak, monkeypatch, side):
     assert peak <= max(charges)
 
 
+def test_overflow_scan_holds_one_block_of_rows(traced_peak):
+    # 2 points against 400,000 stored d=3 hyperplanes (9.6 MB of int64), the
+    # last with a slope of 2**62, so the column envelopes fail and the rows
+    # are summed one by one.  The join charges only its work before it
+    # raises; summing every row at once held them all as ints, 9.6 MB here.
+    slopes = np.ones((400_000, 2), np.int64)
+    slopes[-1, 1] = 2**62
+    family = HyperplaneFamily(slopes, np.ones(400_000, np.int64))
+    raised, peak = traced_peak(build_incidence_graph, as_table([(1, 1, 2), (2, 2, 5)]), family)
+    assert isinstance(raised, ArithmeticOverflow)
+    assert str(raised) == (
+        "incidence evaluation bound for Hyperplane(a=(1, 4611686018427387904), b=1)"
+        " = 9223372036854775811 exceeds the 64-bit safe envelope"
+    )
+    assert peak <= 4 * 2**20
+
+
 def reference_containment(hyperplanes, params):
     """Reference check: each hyperplane evaluated at the top base corner in turn."""
     top = (params.s,) * (params.d - 1)

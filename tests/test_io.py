@@ -222,7 +222,8 @@ class TestWriter:
 
 def reference_instance_from_dict(doc):
     """Reference loader: converts every stored value with int(), one at a time,
-    into point tuples and Hyperplane objects."""
+    into point tuples and Hyperplane objects, checking each hyperplane's
+    coefficients as it goes."""
     if "params" not in doc:
         raise ValueError("instance document has no 'params' object")
     params = params_from_dict(doc["params"])
@@ -233,10 +234,12 @@ def reference_instance_from_dict(doc):
             raise ValueError(f"every point must have d = {params.d} coordinates")
     hyperplanes = None
     if "hyperplanes" in doc:
-        hyperplanes = [
-            Hyperplane(a=tuple(int(c) for c in h["a"]), b=int(h["b"]))
-            for h in doc["hyperplanes"]
-        ]
+        hyperplanes = []
+        for h in doc["hyperplanes"]:
+            a, b = tuple(int(c) for c in h["a"]), int(h["b"])
+            if min(a, default=0) < 1 or b < 1:  # a row without slopes fails too
+                raise ValueError(f"coefficients must be >= 1, got a={a}, b={b}")
+            hyperplanes.append(Hyperplane(a=a, b=b))
         if any(h.d != params.d for h in hyperplanes):
             raise ValueError(f"every hyperplane must have d-1 = {params.d - 1} slopes")
     return SimpleNamespace(params=params, points=points, hyperplanes=hyperplanes)

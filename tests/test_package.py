@@ -112,3 +112,34 @@ def test_one_row_converter():
                 node, "decorator_list", [])) if name in ("classmethod", "staticmethod")]
     assert converters == {("io.py", "instance_from_dict"), ("reporting.py", "_int64_normals")}
     assert alternates == []
+
+
+def annotation_nodes(tree):
+    """The ids of every node inside an annotation: of an argument, a
+    variable or a return."""
+    roots = [node.annotation for node in ast.walk(tree)
+             if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    roots += [node.returns for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.returns]
+    return {id(child) for root in roots for child in ast.walk(root)}
+
+
+def test_the_family_owns_its_rules():
+    # Hyperplane is a plain (a, b) value: outside annotations only the
+    # family's two accessors and hyperplane_at build one, and only the
+    # family's constructor checks coefficients, for every row it admits.
+    users, checkers = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        annotations = annotation_nodes(tree)
+        for scope, node in scopes(tree):
+            for child in ast.walk(node):
+                if (isinstance(child, ast.Name) and child.id == "Hyperplane"
+                        and id(child) not in annotations):
+                    users.add((path.name, scope))
+                if isinstance(child, ast.Raise) and "coefficients must be" in ast.unparse(child):
+                    checkers.add((path.name, scope))
+    assert users == {("geometry.py", "HyperplaneFamily.__getitem__"),
+                     ("geometry.py", "HyperplaneFamily.__iter__"),
+                     ("geometry.py", "hyperplane_at")}
+    assert checkers == {("geometry.py", "HyperplaneFamily.__init__")}
