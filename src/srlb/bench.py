@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InsufficientData
 from .exact import charge
@@ -22,8 +22,6 @@ from .reporting import DEFAULT_LEAF_CAPACITY, build_kdtree, query, slab_query_fo
 # Above this family size, a seeded uniform sample of hyperplanes is
 # benchmarked instead; aggregate statistics stabilize long before that.
 MAX_QUERIES_PER_INSTANCE = 512
-
-T_RULE_AUTO = "auto"
 
 
 def peak_bytes(params: InstanceParams, leaf_capacity: int) -> int:
@@ -50,12 +48,15 @@ class ExperimentPlan:
     t_rule: str
     seed: int
     leaf_capacity: int = DEFAULT_LEAF_CAPACITY
+    fixed_t: Optional[int] = field(init=False, repr=False)  # None under 'auto'
 
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("plan needs at least one size")
-        if self.t_rule != T_RULE_AUTO and not self.t_rule.startswith("fixed:"):
+        rule, _, t = self.t_rule.partition(":")
+        if not (self.t_rule == "auto" or rule == "fixed" and t.isascii() and t.isdigit()):
             raise ValueError(f"t rule must be 'auto' or 'fixed:<t>', got {self.t_rule!r}")
+        object.__setattr__(self, "fixed_t", int(t) if t else None)
         if self.leaf_capacity < 1:  # build_kdtree's check, before any file opens
             raise ValueError(f"leaf capacity must be >= 1, got {self.leaf_capacity}")
         # Every (n, t) pair must normalize (RangeTooTight up front), and to a
@@ -65,9 +66,9 @@ class ExperimentPlan:
             raise ValueError(f"sizes {self.sizes} give n = {resolved}, not strictly increasing")
 
     def resolve_params(self, n: int) -> InstanceParams:
-        if self.t_rule == T_RULE_AUTO:
+        if self.fixed_t is None:
             return largest_valid_richness(self.d, n)
-        return normalize_params(self.d, n, int(self.t_rule.split(":", 1)[1]))
+        return normalize_params(self.d, n, self.fixed_t)
 
 
 @dataclass(frozen=True)
@@ -157,17 +158,18 @@ def fit_loglog(pairs: Sequence[tuple[Union[int, float], float]]) -> FitResult:
 def fit_from_rows(rows: Sequence[dict]) -> FitResult:
     """Fit using the 'mean' aggregate rows of a stats table.
 
-    A mean row whose n or nodes_visited is not finite and positive has no
-    logarithm, so it is rejected by name rather than fitted.
+    A mean row without a positive integer n and a finite, positive
+    nodes_visited has no logarithm, so it is rejected by name, not fitted.
     """
     pairs = []
     for r in rows:
         if str(r["query_id"]) == "mean":
-            n, visits = float(r["n"]), float(r["nodes_visited"])
-            if not (0 < n < math.inf and 0 < visits < math.inf):
-                raise ValueError(
-                    f"mean row n={r['n']}, nodes_visited={r['nodes_visited']}:"
-                    " both must be finite and positive"
-                )
-            pairs.append((int(r["n"]), visits))
+            try:
+                n, visits = int(r["n"]), float(r["nodes_visited"])
+            except ValueError:  # not a number: refused below, by name
+                n = visits = 0
+            if not (0 < n and 0 < visits < math.inf):
+                raise ValueError(f"mean row n={r['n']}, nodes_visited={r['nodes_visited']}: n"
+                                 " must be a positive integer, nodes_visited finite and positive")
+            pairs.append((n, visits))
     return fit_loglog(pairs)

@@ -7,6 +7,7 @@ parameters, failed verification), 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -79,13 +80,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     rows = io.read_stats_csv(args.csv)
-    result = bench_mod.fit_from_rows(rows)
-    print(json.dumps({
-        "slope": result.slope,
-        "intercept": result.intercept,
-        "r_squared": result.r_squared,
-        "points_used": result.points_used,
-    }))
+    print(json.dumps(dataclasses.asdict(bench_mod.fit_from_rows(rows))))
     return EXIT_OK
 
 

@@ -3,15 +3,15 @@
 Python integers never wrap, but every number this package emits (JSON
 instances, CSV stats) must stay representable as a signed 64-bit value so
 downstream consumers can rely on exact arithmetic too.  These helpers make
-that envelope an explicit, testable contract, and they are the only code
-that turns rows into int64 tables or bounds a table's columns.  charge is
-the only code that refuses an instance as too large.
+that envelope an explicit, testable contract, state the one rule for values
+from outside (all_integers), and alone turn rows into int64 tables or bound
+a table's columns.  charge alone refuses an instance as too large.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -82,8 +82,13 @@ def iroot(value: int, k: int) -> int:
     return r
 
 
+def all_integers(values: Iterable) -> bool:
+    """The value rule for numbers from outside: each is an int or a numpy integer (not a bool)."""
+    return all(issubclass(kind, np.integer) for kind in set(map(type, values)) - {int})
+
+
 def int64_rows(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarray:
-    """rows as a (len(rows), width) int64 array, each value coerced as int() does.
+    """rows as a (len(rows), width) int64 array of values that pass all_integers.
 
     Every row must be a list or tuple of exactly `width` values; a length
     check alone would pass the str "12" or a dict, whose keys it yields.
@@ -94,12 +99,12 @@ def int64_rows(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarr
         and set(map(len, rows)) <= {width}
     ):
         raise ValueError(f"{what} must be a list of rows of {width} values")
+    if not all_integers(chain.from_iterable(rows)):
+        raise ValueError(f"every value of {what} must be an integer")
     try:
         flat = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width)
     except OverflowError as exc:
         raise ArithmeticOverflow(f"{what} exceeds the 64-bit safe envelope") from exc
-    except TypeError as exc:  # a nested or otherwise non-numeric value
-        raise ValueError(f"every value of {what} must be an integer") from exc
     return flat.reshape(len(rows), width)
 
 

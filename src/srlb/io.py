@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import SrlbError
-from .exact import INT64_MAX, int64_rows
+from .exact import INT64_MAX, all_integers, int64_rows
 from .geometry import HyperplaneFamily, InstanceParams, point_table
 from .reporting import QueryStats
 
@@ -60,20 +60,19 @@ def params_from_dict(raw: dict) -> InstanceParams:
     names = [f.name for f in fields(InstanceParams)]
     if not isinstance(raw, dict) or not raw.keys() >= set(names):
         raise ValueError(f"params must be an object with the fields {names}")
-    try:
-        return InstanceParams(**{name: int(raw[name]) for name in names})
-    except (TypeError, OverflowError):  # OverflowError: int() of an infinite float
-        raise ValueError(f"params fields {names} must be integers") from None
+    if not all_integers(raw[name] for name in names):
+        raise ValueError(f"params fields {names} must be integers")
+    return InstanceParams(**{name: int(raw[name]) for name in names})
 
 
 def instance_from_dict(doc: dict) -> InstanceDocument:
     """Parse an instance document.
 
-    Stored points and hyperplanes are taken verbatim (only shape-checked):
-    a corrupted section must load so the verifiers can flag it.  Each
-    section is converted to int64 in one pass, so a value outside the
-    64-bit envelope raises ArithmeticOverflow here, and a section of the
-    wrong shape, or a hyperplane without 'a' or 'b', raises ValueError.
+    Stored points and hyperplanes are taken verbatim: a corrupted section
+    must load so the verifiers can flag it.  Each section is converted to
+    int64 in one pass; a value outside the 64-bit envelope raises
+    ArithmeticOverflow, and a value that is not an integer (all_integers), a
+    section of the wrong shape or a hyperplane without 'a' or 'b' ValueError.
     """
     if not isinstance(doc, dict) or "params" not in doc:
         raise ValueError("instance document has no 'params' object")
@@ -234,8 +233,6 @@ def load_instance(path: PathLike) -> InstanceDocument:
 
 def format_stat(value: Union[int, float]) -> str:
     """Integers print bare; non-integral aggregates keep full precision."""
-    if isinstance(value, int):
-        return str(value)
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 

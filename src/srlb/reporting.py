@@ -197,17 +197,18 @@ def build_kdtree(points: np.ndarray, leaf_capacity: int = DEFAULT_LEAF_CAPACITY)
     )
 
 
-def _int64_normals(q: SimplexQuery, max_abs: Sequence[int]) -> np.ndarray:
-    """The query's normals as int64 rows, once every normal . x fits int64.
+def _int64_normals(q: SimplexQuery, max_abs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The query's normals and offsets as int64, once every normal . x fits int64.
 
     max_abs is the largest |x_i| per axis over the points, so
     sum(|c_i| * max_abs_i) bounds each row's value at every point.
     query and brute_force_query both call this before anything is pruned,
-    so they raise ArithmeticOverflow on the same queries.
+    so they raise the same error on the same queries.
     """
-    for normal in q.normals:
+    normals = int64_rows(q.normals, len(max_abs), "halfspace normal")
+    for normal in normals.tolist():
         checked_dot(map(abs, normal), max_abs)
-    return int64_rows(q.normals, len(max_abs), "halfspace normal")
+    return normals, int64_rows((q.offsets,), len(q.offsets), "halfspace offset")[0]
 
 
 def query(tree: KdTree, q: SimplexQuery) -> tuple[list[int], QueryStats]:
@@ -220,8 +221,8 @@ def query(tree: KdTree, q: SimplexQuery) -> tuple[list[int], QueryStats]:
         raise DimensionMismatch(
             f"query is {q.d}-dimensional, tree stores {tree.dim}-dimensional points"
         )
-    # Only for the overflow check: the root box spans the points, so its
-    # per-axis max(|lo|, |hi|) is their envelope.
+    # Only for the value and overflow checks: the root box spans the points,
+    # so its per-axis max(|lo|, |hi|) is their envelope.
     _int64_normals(q, [max(abs(lo), abs(hi)) for lo, hi in zip(*tree.boxes[0])])
     stats = QueryStats()
     out: list[int] = []
@@ -278,7 +279,7 @@ def brute_force_query(points: np.ndarray, q: SimplexQuery) -> np.ndarray:
     if not len(coords):
         return np.flatnonzero(())
     mask = np.ones(len(coords), dtype=bool)
-    for normal, offset in zip(_int64_normals(q, envelope(coords)), q.offsets):
+    for normal, offset in zip(*_int64_normals(q, envelope(coords))):
         mask &= coords @ normal <= offset
     return np.flatnonzero(mask)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -46,6 +47,12 @@ class TestExperimentPlan:
     def test_bad_rule(self):
         with pytest.raises(ValueError):
             ExperimentPlan(d=2, sizes=(64,), t_rule="random", seed=0)
+        # A fixed t is a decimal integer; int() alone would also take " 4" and "+4".
+        for rule in ("fixed:x", "fixed:", "fixed:1.5", "fixed: 4", "fixed:+4", "fixed:-4",
+                     "fixed:4:4", "Fixed:4", "auto:4"):
+            message = f"t rule must be 'auto' or 'fixed:<t>', got {rule!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ExperimentPlan(d=2, sizes=(64,), t_rule=rule, seed=0)
 
     def test_infeasible_pair_rejected_up_front(self):
         with pytest.raises(RangeTooTight):

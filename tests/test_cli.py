@@ -75,6 +75,18 @@ class TestGen:
         assert main(["verify", str(path)]) == 0
         capsys.readouterr()
 
+    def test_dimension_cap(self, tmp_path, capsys):
+        # s = t = A = B = m = 1 at both d; np.indices would need 65 axes at d = 64.
+        d63, d64 = tmp_path / "d63.json", tmp_path / "d64.json"
+        assert run_cli(capsys, "gen", "-d", "63", "-n", "64", "-t", "1", "--out", str(d63))[0] == 0
+        assert run_cli(capsys, "verify", str(d63))[0] == 0
+        refusal = (2, "", "error: d = 64 exceeds the cap of 63 for generated tables\n")
+        outcome = run_cli(capsys, "gen", "-d", "64", "-n", "64", "-t", "1", "--out", str(d64))
+        assert outcome == refusal
+        assert not d64.exists()
+        csv = str(tmp_path / "d64.csv")
+        assert run_cli(capsys, "bench", "-d", "64", "--sizes", "64", "--out", csv) == refusal
+
 
 @pytest.fixture
 def instance_file(tmp_path, capsys):
@@ -115,6 +127,18 @@ class TestVerify:
         report = last_json(stdout)
         assert report["k2beta_free"] is False
         assert report["max_pair_coverage"] == 2
+
+    @pytest.mark.parametrize("indent", [None, 1], ids=["as_dumped", "indented"])
+    def test_values_int_would_coerce_are_refused(self, instance_file, capsys, indent):
+        # Once read as a = 1, the point (1, 1) and b = 2: a file that verified.
+        doc = json.loads(instance_file.read_text())
+        doc["hyperplanes"][0]["a"] = [1.5]
+        doc["points"][0] = [1.9, True]
+        doc["hyperplanes"][1]["b"] = "2"
+        instance_file.write_text(json.dumps(doc, indent=indent))
+        rc, stdout, stderr = run_cli(capsys, "verify", str(instance_file))
+        assert (rc, stdout) == (2, "")
+        assert stderr == "error: every value of point coordinates must be an integer\n"
 
     def test_hyperplane_without_offset_names_the_key(self, instance_file, capsys):
         doc = json.loads(instance_file.read_text())
@@ -255,9 +279,7 @@ RECORDED_VERIFY = {
     "d2_bare_params": (
         0, '{"richness_exact": true, "max_pair_coverage": 1, "beta_bound": 1,'
            ' "k2beta_free": true, "containment_ok": true}\n'),
-    "d2_coerced_values": (
-        0, '{"richness_exact": true, "max_pair_coverage": 1, "beta_bound": 1,'
-           ' "k2beta_free": true, "containment_ok": true}\n'),
+    "d2_coerced_values": (2, ""),  # refused since values must be integers
     "d2_coordinate_beyond_int64": (2, ""),
     "d2_duplicated_hyperplane": (
         2, '{"richness_exact": true, "max_pair_coverage": 2, "beta_bound": 1,'
@@ -550,8 +572,11 @@ class TestBenchAndFit:
         assert rc == 2
         assert "3" in stderr
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-    @pytest.mark.parametrize("column", ["n", "nodes_visited"])
+    @pytest.mark.parametrize("column,value", [
+        *((column, value) for value in ("nan", "inf", "0", "-1")
+          for column in ("n", "nodes_visited")),
+        ("n", "16.5"), ("n", "abc"), ("nodes_visited", "abc"),
+    ])
     def test_fit_rejects_mean_row_without_a_logarithm(self, tmp_path, capsys, column, value):
         rows = [{"n": n, "nodes_visited": n // 8} for n in (256, 1024, 4096)]
         rows[1][column] = value

@@ -20,10 +20,16 @@ class TestCheckedScalars:
 
 
 class TestInt64Rows:
-    def test_values_coerced_as_int_does(self):
-        table = int64_rows([("7", 2.5), [True, -3]], 2, "rows")
+    def test_non_integer_values_are_refused(self):
+        # int() would take each of these: "7" as 7, 2.5 as 2, True as 1.
+        for value in ("7", " 7", "+4", "1_000", 2.5, 1.0, np.float64(3), True, np.bool_(True)):
+            with pytest.raises(ValueError, match="^every value of rows must be an integer$"):
+                int64_rows([(1, 2), [3, value]], 2, "rows")
+
+    def test_numpy_integers_are_integers(self):
+        table = int64_rows([(np.int32(-5), np.uint64(7)), [np.int64(INT64_MAX), 3]], 2, "rows")
         assert table.dtype == np.int64
-        assert table.tolist() == [[7, 2], [1, -3]]
+        assert table.tolist() == [[-5, 7], [INT64_MAX, 3]]
 
     def test_empty_input(self):
         for rows in ([], ()):
@@ -37,9 +43,10 @@ class TestInt64Rows:
 
     @pytest.mark.parametrize(
         "rows",
-        [["12"], [b"12"], [{"1": 0, "2": 0}], [5], [[[1], [2]]], [(1, None)], "12", 5, None],
+        [["12"], [b"12"], [{"1": 0, "2": 0}], [5], [[[1], [2]]], [(1, None)], "12", 5, None,
+         [(1, float("inf"))], [(1, str(2**63))]],
         ids=["str", "bytes", "dict", "scalar", "nested", "none", "str_section",
-             "scalar_section", "none_section"],
+             "scalar_section", "none_section", "inf", "str_beyond_int64"],
     )
     def test_malformed_rows_are_value_errors(self, rows):
         with pytest.raises(ValueError):
@@ -49,7 +56,7 @@ class TestInt64Rows:
         table = int64_rows([(INT64_MIN, INT64_MAX)], 2, "rows")
         assert table.tolist() == [[INT64_MIN, INT64_MAX]]
 
-    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, float("inf"), str(2**63)])
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, np.uint64(2**63)])
     def test_value_outside_int64_is_arithmetic_overflow(self, value):
         with pytest.raises(ArithmeticOverflow, match="64-bit"):
             int64_rows([(1, value)], 2, "rows")

@@ -49,9 +49,21 @@ class TestParamsSchema:
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
     def test_infinite_field_is_a_value_error(self, value):
-        # int() raises OverflowError on an infinite float.
+        # A float, so refused before int() could raise OverflowError on it.
         with pytest.raises(ValueError, match="must be integers"):
             params_from_dict({"d": value, "s": 2, "t": 2, "n": 16, "A": 2, "B": 4, "m": 8})
+
+    @pytest.mark.parametrize("value", [2.0, True, "2", " 2", None, np.float64(2)])
+    def test_field_that_is_not_an_integer_is_a_value_error(self, value):
+        # int() would have read each as a valid d (or True as d = 1).
+        with pytest.raises(ValueError, match="must be integers"):
+            params_from_dict({"d": value, "s": 2, "t": 2, "n": 16, "A": 2, "B": 4, "m": 8})
+
+    def test_numpy_integer_fields_load_as_ints(self):
+        raw = {"d": np.int64(2), "s": 2, "t": 2, "n": np.uint16(16), "A": 2, "B": 4, "m": 8}
+        params = params_from_dict(raw)
+        assert params == normalize_params(2, 16, 2)
+        assert type(params.d) is type(params.n) is int
 
 
 class TestInstanceSchema:
@@ -220,23 +232,32 @@ class TestWriter:
         assert peak <= charge_verify(params)
 
 
+def reference_int(value, what):
+    """One stored value under the value rule: JSON holds no numpy integers,
+    so an int that is not a bool, else the loader's ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"every value of {what} must be an integer")
+    return value
+
+
 def reference_instance_from_dict(doc):
-    """Reference loader: converts every stored value with int(), one at a time,
-    into point tuples and Hyperplane objects, checking each hyperplane's
-    coefficients as it goes."""
+    """Reference loader: checks every stored value with reference_int, one at
+    a time, into point tuples and Hyperplane objects, checking each
+    hyperplane's coefficients as it goes."""
     if "params" not in doc:
         raise ValueError("instance document has no 'params' object")
     params = params_from_dict(doc["params"])
     points = None
     if "points" in doc:
-        points = [tuple(int(c) for c in p) for p in doc["points"]]
+        points = [tuple(reference_int(c, "point coordinates") for c in p) for p in doc["points"]]
         if any(len(p) != params.d for p in points):
             raise ValueError(f"every point must have d = {params.d} coordinates")
     hyperplanes = None
     if "hyperplanes" in doc:
         hyperplanes = []
         for h in doc["hyperplanes"]:
-            a, b = tuple(int(c) for c in h["a"]), int(h["b"])
+            a = tuple(reference_int(c, "hyperplane slopes") for c in h["a"])
+            b = reference_int(h["b"], "hyperplane offsets")
             if min(a, default=0) < 1 or b < 1:  # a row without slopes fails too
                 raise ValueError(f"coefficients must be >= 1, got a={a}, b={b}")
             hyperplanes.append(Hyperplane(a=a, b=b))
@@ -265,6 +286,7 @@ LOADER_CASES = {
     "negative_slope": (D3_PARAMS, {"hyperplanes": [{"a": [2, -1], "b": 1}]}),
     "zero_offset": (D2_PARAMS, {"hyperplanes": [{"a": [1], "b": 0}]}),
     "negative_offset": (D2_PARAMS, {"hyperplanes": [{"a": [1], "b": -3}]}),
+    # int() would read the values of the next five cases; the value rule refuses them.
     "floats_truncate": (D2_PARAMS, {"points": [[1.0, 2.9], [-0.5, -1.7]],
                                     "hyperplanes": [{"a": [2.5], "b": 3.99}]}),
     "float_truncates_below_one": (D2_PARAMS, {"hyperplanes": [{"a": [0.9], "b": 1}]}),
@@ -274,6 +296,7 @@ LOADER_CASES = {
     "mixed_types": (D3_PARAMS, {"points": [[1, "2", 3.0]],
                                 "hyperplanes": [{"a": [1, "2"], "b": 3.0}]}),
     "non_numeric_string": (D2_PARAMS, {"points": [["1", "x"]]}),
+    "nested_values": (D2_PARAMS, {"points": [[[1], [2]]]}),
     "fractional_string": (D2_PARAMS, {"hyperplanes": [{"a": ["1.5"], "b": 1}]}),
     "nan_coordinate": (D2_PARAMS, {"points": [[1, float("nan")]]}),
     "int64_extremes": (D2_PARAMS, {"points": [[-(2**63), 2**63 - 1]],
@@ -315,6 +338,7 @@ class TestBulkLoader:
          "float_truncates_below_one", "int64_extremes_below_one"],
     )
     def test_coefficient_below_one_message_matches_reference(self, case):
+        # float_truncates_below_one is refused by the value rule first, also by name.
         params, sections = LOADER_CASES[case]
         doc = {"params": params, **sections}
         with pytest.raises(ValueError) as expected:
@@ -325,7 +349,7 @@ class TestBulkLoader:
 
     @pytest.mark.parametrize(
         "sections",
-        [{"points": [1, 2]}, {"points": [[[1], [2]]]}, {"hyperplanes": [{"a": 1, "b": 1}]}],
+        [{"points": [1, 2]}, {"points": [[1, 2], 3]}, {"hyperplanes": [{"a": 1, "b": 1}]}],
     )
     def test_rows_that_are_not_flat_lists_are_value_errors(self, sections):
         # The per-value reference raises TypeError here, which the CLI does not catch.
@@ -363,9 +387,9 @@ class TestBulkLoader:
         [
             {"points": [[1, 2**63]]},
             {"points": [[-(2**63) - 1, 1]]},
-            {"points": [[1, float("inf")]]},
-            {"points": [[1, 1e19]]},
-            {"points": [[1, str(2**64)]]},
+            {"points": [[1, -(2**64)]]},
+            {"points": [[1, 10**19]]},
+            {"hyperplanes": [{"a": [1], "b": -(2**63) - 1}]},
             {"hyperplanes": [{"a": [2**63], "b": 1}]},
             {"hyperplanes": [{"a": [1], "b": 2**70}]},
         ],
@@ -380,6 +404,30 @@ class TestBulkLoader:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "64-bit" in captured.err
+
+    @pytest.mark.parametrize(
+        "sections,what",
+        [
+            ({"points": [[1, float("inf")]]}, "point coordinates"),
+            ({"points": [[1, 1e19]]}, "point coordinates"),
+            ({"points": [[1, str(2**64)]]}, "point coordinates"),
+            ({"hyperplanes": [{"a": [2.0**70], "b": 1}]}, "hyperplane slopes"),
+            ({"hyperplanes": [{"a": [1], "b": str(2**70)}]}, "hyperplane offsets"),
+        ],
+        ids=["inf", "1e19", "str_2_to_64", "float_slope", "str_offset"],
+    )
+    def test_value_that_is_not_an_integer_is_a_value_error(self, sections, what, tmp_path,
+                                                          capsys):
+        # Beyond int64 as numbers, but not integers: the value rule refuses them first.
+        doc = {"params": D2_PARAMS, **sections}
+        with pytest.raises(ValueError, match=f"^every value of {what} must be an integer$"):
+            instance_from_dict(doc)
+        path = tmp_path / "not_an_integer.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: every value of {what} must be an integer\n"
 
 
 def json_load(path):

@@ -397,6 +397,31 @@ class TestOracleEnvelope:
         with pytest.raises(ArithmeticOverflow):
             query(build_kdtree(points), q)
 
+    @pytest.mark.parametrize(
+        "normals,offsets",
+        [
+            (((0.5, 1),), (3,)),
+            (((True, 1),), (3,)),
+            (((1, "2"),), (3,)),
+            (((0, 1),), (3.0,)),
+            (((0, 1),), (True,)),
+            (((0, 1), (1, 0)), (3, "2")),
+            (((0, 1),), (2**63,)),
+        ],
+        ids=["float_normal", "bool_normal", "str_normal", "float_offset", "bool_offset",
+             "str_offset", "offset_beyond_int64"],
+    )
+    def test_rows_outside_the_value_rule_raise_the_same_in_both(self, normals, offsets):
+        # On this grid the normal (0.5, 1) once got ids [0, 1, 8, 9] from the
+        # tree and [0, 1, 2, 8, 9, 10] from the oracle, which truncated it.
+        points, q = generate_points(normalize_params(2, 16, 2)), SimplexQuery(normals, offsets)
+        errors = []
+        for run in (lambda: query(build_kdtree(points), q), lambda: brute_force_query(points, q)):
+            with pytest.raises((ValueError, ArithmeticOverflow)) as raised:
+                run()
+            errors.append((type(raised.value), str(raised.value)))
+        assert errors[0] == errors[1]
+
 
 class TestRandomQueries:
     def test_seed_determinism(self, d3_instance):
