@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import InsufficientData
 from .exact import charge
 from .geometry import (
     InstanceParams,
+    digit_shape,
     generate_points,
     hyperplane_at,
     largest_valid_richness,
@@ -48,27 +49,25 @@ class ExperimentPlan:
     t_rule: str
     seed: int
     leaf_capacity: int = DEFAULT_LEAF_CAPACITY
-    fixed_t: Optional[int] = field(init=False, repr=False)  # None under 'auto'
+    instances: tuple[InstanceParams, ...] = field(init=False, repr=False)  # one per size
 
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("plan needs at least one size")
+        digit_shape(self.d, 1, 1)  # generate_points' d cap, before any file opens
         rule, _, t = self.t_rule.partition(":")
         if not (self.t_rule == "auto" or rule == "fixed" and t.isascii() and t.isdigit()):
             raise ValueError(f"t rule must be 'auto' or 'fixed:<t>', got {self.t_rule!r}")
-        object.__setattr__(self, "fixed_t", int(t) if t else None)
         if self.leaf_capacity < 1:  # build_kdtree's check, before any file opens
             raise ValueError(f"leaf capacity must be >= 1, got {self.leaf_capacity}")
         # Every (n, t) pair must normalize (RangeTooTight up front), and to a
         # larger n than the last, or fit would count one instance twice.
-        resolved = tuple(self.resolve_params(n).n for n in self.sizes)
+        instances = tuple(normalize_params(self.d, n, int(t)) if t
+                          else largest_valid_richness(self.d, n) for n in self.sizes)
+        object.__setattr__(self, "instances", instances)
+        resolved = tuple(params.n for params in instances)
         if any(b <= a for a, b in zip(resolved, resolved[1:])):
             raise ValueError(f"sizes {self.sizes} give n = {resolved}, not strictly increasing")
-
-    def resolve_params(self, n: int) -> InstanceParams:
-        if self.fixed_t is None:
-            return largest_valid_richness(self.d, n)
-        return normalize_params(self.d, n, self.fixed_t)
 
 
 @dataclass(frozen=True)
@@ -110,17 +109,14 @@ def run_plan(plan: ExperimentPlan) -> Iterator[tuple[InstanceParams, dict]]:
     at a time so callers can flush each row before the next query runs; a
     failure mid-instance leaves the completed rows behind.
     """
-    instances = [plan.resolve_params(n) for n in plan.sizes]
-    for params in instances:
+    for params in plan.instances:
         charge(f"size n = {params.n}: its points and kd-tree",
                peak_bytes(params, plan.leaf_capacity))
-    return _slab_rows(instances, plan)
+    return _slab_rows(plan)
 
 
-def _slab_rows(
-    instances: Sequence[InstanceParams], plan: ExperimentPlan
-) -> Iterator[tuple[InstanceParams, dict]]:
-    for params in instances:
+def _slab_rows(plan: ExperimentPlan) -> Iterator[tuple[InstanceParams, dict]]:
+    for params in plan.instances:
         tree = build_kdtree(generate_points(params), leaf_capacity=plan.leaf_capacity)
         per_query = []
         for qid in select_query_ids(params.m, plan.seed):

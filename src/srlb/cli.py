@@ -17,11 +17,20 @@ from typing import Optional, Sequence
 from . import bench as bench_mod
 from . import incidence, io, reporting
 from .errors import InstanceTooLarge, SrlbError
+from .exact import check_int64
 from .geometry import generate_hyperplanes, generate_points, normalize_params
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
+
+
+def int_option(option: str, text: str) -> int:
+    """text as an int, or a ValueError that names the option and the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{option}: {text!r} is not an integer") from None
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -47,7 +56,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = tuple(int(v) for v in args.sizes.split(","))
+    sizes = tuple(int_option("--sizes", v) for v in args.sizes.split(","))
     plan = bench_mod.ExperimentPlan(
         d=args.d,
         sizes=sizes,
@@ -86,7 +95,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     params = normalize_params(args.d, args.n, args.t)
-    space = params.n if args.space == "n" else int(args.space)
+    space = params.n if args.space == "n" else int_option("--space", args.space)
+    check_int64(space, "--space")
     if space < 1:
         raise ValueError(f"hypothetical space must be >= 1, got {space}")
     implied = (params.n**2 / space) ** ((params.d - 1) / params.d)

@@ -109,10 +109,10 @@ def int64_rows(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarr
 
 
 def envelope(table: np.ndarray) -> list[int]:
-    """Largest |entry| per column of a non-empty int64 table, as Python ints.
+    """Largest |entry| per column of an int64 table, as Python ints; 0 for no rows.
 
-    Taken as max(|min|, |max|) of the column reductions, with no copy of the
-    table; as Python ints, |INT64_MIN| is 2**63 and does not wrap.
+    Taken as max(-min, max) of the column reductions started at 0, with no
+    copy of the table; as Python ints, |INT64_MIN| is 2**63 and does not wrap.
     """
-    lows, highs = table.min(axis=0).tolist(), table.max(axis=0).tolist()
+    lows, highs = table.min(axis=0, initial=0).tolist(), table.max(axis=0, initial=0).tolist()
     return [max(-lo, hi) for lo, hi in zip(lows, highs)]

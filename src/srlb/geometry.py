@@ -225,7 +225,7 @@ def largest_valid_richness(d: int, n_requested: int) -> InstanceParams:
     return normalize_params(d, n_requested, s ** (d - 1))
 
 
-def _digit_shape(d: int, side: int, last: int) -> tuple[int, ...]:
+def digit_shape(d: int, side: int, last: int) -> tuple[int, ...]:
     """(side,) * (d-1) + (last,), the shape whose C-order indices number a generated table."""
     if d > MAX_DIMENSION:
         raise ValueError(f"d = {d} exceeds the cap of {MAX_DIMENSION} for generated tables")
@@ -234,7 +234,7 @@ def _digit_shape(d: int, side: int, last: int) -> tuple[int, ...]:
 
 def generate_points(params: InstanceParams) -> np.ndarray:
     """All n grid points as a read-only, C-contiguous (n, d) int64 table, last axis fastest."""
-    shape = _digit_shape(params.d, params.s, params.rows)
+    shape = digit_shape(params.d, params.s, params.rows)
     table = np.ascontiguousarray(np.indices(shape, dtype=np.int64).reshape(params.d, -1).T) + 1
     table.flags.writeable = False
     return table
@@ -242,7 +242,7 @@ def generate_points(params: InstanceParams) -> np.ndarray:
 
 def generate_hyperplanes(params: InstanceParams) -> HyperplaneFamily:
     """All m = A**(d-1) * B family hyperplanes, lexicographic on (a, b)."""
-    shape = _digit_shape(params.d, params.A, params.B)
+    shape = digit_shape(params.d, params.A, params.B)
     # Row j of `coeffs` is the mixed-radix digits of j, b varying fastest.
     coeffs = np.indices(shape, dtype=np.int64).reshape(params.d, params.m).T + 1
     return HyperplaneFamily(np.ascontiguousarray(coeffs[:, :-1]), coeffs[:, -1].copy())
@@ -253,7 +253,7 @@ def hyperplane_at(params: InstanceParams, index: int) -> Hyperplane:
     materializing the family: the same C-order digits np.indices fills."""
     if not 0 <= index < params.m:
         raise ValueError(f"hyperplane index {index} outside 0..{params.m - 1}")
-    *a, b = np.unravel_index(index, _digit_shape(params.d, params.A, params.B))
+    *a, b = np.unravel_index(index, digit_shape(params.d, params.A, params.B))
     return Hyperplane(a=tuple(int(c) + 1 for c in a), b=int(b) + 1)
 
 

@@ -28,13 +28,17 @@ DEFAULT_LEAF_CAPACITY = 4
 
 @dataclass(frozen=True)
 class SimplexQuery:
-    """Intersection of 1 to d+1 closed halfspaces, row i being
-    normals[i] . x <= offsets[i]; a >= constraint is stored negated."""
+    """1 to d+1 closed halfspaces, row i being normals[i] . x <= offsets[i]
+    (a >= constraint is stored negated), checked once, when made: the shape,
+    then one int64_rows call over the rows (*normal, offset).  The rows are
+    stored as tuples of Python ints, whatever integers they came in."""
 
     normals: tuple[tuple[int, ...], ...]
     offsets: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(part, (list, tuple)) for part in (self.offsets, *self.normals)):
+            raise ValueError("a query's normals and offsets must be lists or tuples")
         rows = len(self.normals)
         if not rows or rows != len(self.offsets):
             raise ValueError(f"{rows} normals, {len(self.offsets)} offsets: need n >= 1 of each")
@@ -45,6 +49,10 @@ class SimplexQuery:
             raise ValueError("halfspace normal must not be the zero vector")
         if rows > self.d + 1:
             raise ValueError(f"{rows} constraints exceed the d+1 = {self.d + 1} cap")
+        table = int64_rows([(*c, b) for c, b in zip(self.normals, self.offsets)], self.d + 1,
+                           "a query row")
+        object.__setattr__(self, "normals", tuple(map(tuple, table[:, :-1].tolist())))
+        object.__setattr__(self, "offsets", tuple(table[:, -1].tolist()))
 
     @property
     def d(self) -> int:
@@ -111,7 +119,6 @@ class KdTree:
 
     points: list[GridPoint]
     order: list[int]
-    dim: int
     leaf_capacity: int
     boxes: list[Optional[tuple[tuple[int, ...], tuple[int, ...]]]]
 
@@ -191,24 +198,20 @@ def build_kdtree(points: np.ndarray, leaf_capacity: int = DEFAULT_LEAF_CAPACITY)
     return KdTree(
         points=list(zip(*coords.T.tolist())),
         order=order.tolist(),
-        dim=dim,
         leaf_capacity=leaf_capacity,
         boxes=boxes,
     )
 
 
-def _int64_normals(q: SimplexQuery, max_abs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The query's normals and offsets as int64, once every normal . x fits int64.
-
-    max_abs is the largest |x_i| per axis over the points, so
-    sum(|c_i| * max_abs_i) bounds each row's value at every point.
-    query and brute_force_query both call this before anything is pruned,
-    so they raise the same error on the same queries.
-    """
-    normals = int64_rows(q.normals, len(max_abs), "halfspace normal")
-    for normal in normals.tolist():
+def _check_envelope(q: SimplexQuery, max_abs: Sequence[int]) -> None:
+    """Refuse q unless it has the points' dimension and keeps each normal's
+    sum(|c_i| * max_abs_i) within int64.  query and brute_force_query both call
+    this before anything is pruned, so they raise the same error on the same queries."""
+    if q.d != len(max_abs):
+        raise DimensionMismatch(f"query is {q.d}-dimensional,"
+                                f" points are {len(max_abs)}-dimensional")
+    for normal in q.normals:
         checked_dot(map(abs, normal), max_abs)
-    return normals, int64_rows((q.offsets,), len(q.offsets), "halfspace offset")[0]
 
 
 def query(tree: KdTree, q: SimplexQuery) -> tuple[list[int], QueryStats]:
@@ -217,13 +220,8 @@ def query(tree: KdTree, q: SimplexQuery) -> tuple[list[int], QueryStats]:
     Rows found Inside a subtree's box are dropped for that subtree's
     descendants; once none remain the whole slice is emitted untested.
     """
-    if q.d != tree.dim:
-        raise DimensionMismatch(
-            f"query is {q.d}-dimensional, tree stores {tree.dim}-dimensional points"
-        )
-    # Only for the value and overflow checks: the root box spans the points,
-    # so its per-axis max(|lo|, |hi|) is their envelope.
-    _int64_normals(q, [max(abs(lo), abs(hi)) for lo, hi in zip(*tree.boxes[0])])
+    # The root box spans the points, so its per-axis max(|lo|, |hi|) is their envelope.
+    _check_envelope(q, [max(abs(lo), abs(hi)) for lo, hi in zip(*tree.boxes[0])])
     stats = QueryStats()
     out: list[int] = []
     points, order, boxes, capacity = tree.points, tree.order, tree.boxes, tree.leaf_capacity
@@ -272,16 +270,8 @@ def slab_query_for(h: Hyperplane) -> SimplexQuery:
 def brute_force_query(points: np.ndarray, q: SimplexQuery) -> np.ndarray:
     """Ground-truth scan of the point table, exact; the ascending ids of the rows it reports."""
     coords = point_table(points)
-    if coords.shape[1] != q.d:
-        raise DimensionMismatch(
-            f"query is {q.d}-dimensional, points are {coords.shape[1]}-dimensional"
-        )
-    if not len(coords):
-        return np.flatnonzero(())
-    mask = np.ones(len(coords), dtype=bool)
-    for normal, offset in zip(*_int64_normals(q, envelope(coords))):
-        mask &= coords @ normal <= offset
-    return np.flatnonzero(mask)
+    _check_envelope(q, envelope(coords))
+    return np.flatnonzero((coords @ np.array(q.normals, np.int64).T <= q.offsets).all(axis=1))
 
 
 def random_simplex_queries(
@@ -305,7 +295,7 @@ def random_simplex_queries(
             vmin = sum(c * (l if c > 0 else h) for c, l, h in zip(normal, lo, hi))
             vmax = sum(c * (h if c > 0 else l) for c, l, h in zip(normal, lo, hi))
             offset, sign = rng.randint(vmin, vmax), rng.choice((1, -1))
-            normals.append(tuple(sign * c for c in normal))
+            normals.append([sign * c for c in normal])
             offsets.append(sign * offset)
-        queries.append(SimplexQuery(tuple(normals), tuple(offsets)))
+        queries.append(SimplexQuery(normals, offsets))
     return queries

@@ -15,6 +15,7 @@ from srlb.bench import (
     select_query_ids,
 )
 from srlb.errors import InstanceTooLarge, InsufficientData, RangeTooTight
+from srlb.geometry import normalize_params
 from srlb.io import stats_row
 
 
@@ -25,11 +26,11 @@ def plan_rows(plan):
 class TestExperimentPlan:
     def test_valid_plan_resolves_params(self):
         plan = ExperimentPlan(d=2, sizes=(1024, 2048), t_rule="auto", seed=0)
-        assert plan.resolve_params(1024).t == 22
+        assert plan.instances[0].t == 22
 
     def test_fixed_rule(self):
         plan = ExperimentPlan(d=2, sizes=(64, 128), t_rule="fixed:2", seed=0)
-        assert plan.resolve_params(64).t == 2
+        assert plan.instances[0].t == 2
 
     def test_sizes_must_increase(self):
         with pytest.raises(ValueError):
@@ -58,6 +59,23 @@ class TestExperimentPlan:
         with pytest.raises(RangeTooTight):
             ExperimentPlan(d=2, sizes=(16,), t_rule="fixed:4", seed=0)
 
+    def test_dimension_cap_up_front(self):
+        # d = 64, n = 64 normalizes (s = t = A = B = 1), but generate_points
+        # would need 65 axes; the plan refuses it with generate_points' text.
+        message = "d = 64 exceeds the cap of 63 for generated tables"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentPlan(d=64, sizes=(64,), t_rule="auto", seed=0)
+        assert ExperimentPlan(d=63, sizes=(64,), t_rule="auto", seed=0).instances[0].t == 1
+
+    def test_run_plan_runs_the_resolved_instances(self, monkeypatch):
+        plan = ExperimentPlan(d=2, sizes=(64, 256), t_rule="fixed:2", seed=0)
+        assert plan.instances == (normalize_params(2, 64, 2), normalize_params(2, 256, 2))
+        # run_plan takes the plan's instances; it resolves no size again.
+        monkeypatch.setattr(srlb.bench, "normalize_params", None)
+        monkeypatch.setattr(srlb.bench, "largest_valid_richness", None)
+        maxima = [params for params, row in run_plan(plan) if row["query_id"] == "max"]
+        assert maxima == list(plan.instances)
+
 
 class TestQuerySampling:
     def test_small_family_runs_all(self):
@@ -80,7 +98,7 @@ class TestRunInstance:
 
     def test_planar_rows(self):
         plan = ExperimentPlan(d=2, sizes=(16,), t_rule="fixed:2", seed=0)
-        params = plan.resolve_params(16)
+        (params,) = plan.instances
         rows = plan_rows(plan)
         per_query, aggregates = rows[:-2], rows[-2:]
         assert [r["query_id"] for r in per_query] == list(range(8))
@@ -156,7 +174,7 @@ class TestRunPlan:
         plan = ExperimentPlan(d=2, sizes=(64, 256), t_rule="fixed:2", seed=0)
         # fixed:2 normalizes both sizes as given; the leaf capacity of 4 leaves
         # at most 256 // 2 = 128 leaves: 256 * 224 + 255 * 384 = 155,264 bytes.
-        cost = peak_bytes(plan.resolve_params(256), plan.leaf_capacity)
+        cost = peak_bytes(plan.instances[1], plan.leaf_capacity)
         assert cost == 155_264
         generated = []
         monkeypatch.setattr(srlb.bench, "generate_points",
@@ -176,4 +194,4 @@ class TestRunPlan:
                               leaf_capacity=leaf_capacity)
         rows, peak = traced_peak(lambda: sum(1 for _ in run_plan(plan)))
         assert rows > 2
-        assert peak <= peak_bytes(plan.resolve_params(2**12), leaf_capacity)
+        assert peak <= peak_bytes(plan.instances[0], leaf_capacity)

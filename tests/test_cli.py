@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,7 @@ class TestGen:
         assert not d64.exists()
         csv = str(tmp_path / "d64.csv")
         assert run_cli(capsys, "bench", "-d", "64", "--sizes", "64", "--out", csv) == refusal
+        assert not Path(csv).exists()
 
 
 @pytest.fixture
@@ -518,6 +520,15 @@ class TestBenchAndFit:
         assert (rc, stdout, stderr) == (2, "", error)
         assert not out.exists()
 
+    @pytest.mark.parametrize("sizes,bad", [("64,x", "x"), (",", ""), ("64,1.5,256", "1.5")])
+    def test_bench_refuses_sizes_that_are_not_integers(self, tmp_path, capsys, sizes, bad):
+        # int() once answered with only "invalid literal for int() with base 10".
+        out = tmp_path / "x.csv"
+        rc, stdout, stderr = run_cli(capsys, "bench", "-d", "2", "--sizes", sizes,
+                                     "--out", str(out))
+        assert (rc, stdout, stderr) == (2, "", f"error: --sizes: {bad!r} is not an integer\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("capacity", ["0", "-1"])
     def test_bench_refuses_leaf_capacity_below_one_before_the_file(self, tmp_path, capsys,
                                                                     capacity):
@@ -672,6 +683,23 @@ class TestBound:
         rc, stdout, stderr = run_cli(capsys, "bound", "-d", "2", "-n", "16", "-t", "2",
                                      "--space", "0")
         assert (rc, stdout, stderr) == (2, "", "error: hypothetical space must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize("space,error", [
+        ("1.5", "--space: '1.5' is not an integer"),
+        ("x", "--space: 'x' is not an integer"),
+        # Once printed as "space", with an implied_query_bound of 0.0.
+        (str(10**400), f"--space = {10**400} exceeds the 64-bit safe envelope"),
+        (str(2**63), f"--space = {2**63} exceeds the 64-bit safe envelope"),
+    ], ids=["float", "word", "401_digits", "int64_max_plus_one"])
+    def test_space_that_is_not_an_int64_integer(self, capsys, space, error):
+        rc, stdout, stderr = run_cli(capsys, "bound", "-d", "2", "-n", "16", "-t", "2",
+                                     "--space", space)
+        assert (rc, stdout, stderr) == (2, "", f"error: {error}\n")
+
+    def test_space_at_int64_max(self, capsys):
+        rc, stdout, _ = run_cli(capsys, "bound", "-d", "2", "-n", "16", "-t", "2",
+                                "--space", str(srlb.exact.INT64_MAX))
+        assert rc == 0 and last_json(stdout)["space"] == srlb.exact.INT64_MAX
 
     @pytest.mark.parametrize("d", [2**16, 2**20])
     @pytest.mark.parametrize("command", ["bound", "gen"])

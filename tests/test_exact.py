@@ -65,6 +65,11 @@ class TestInt64Rows:
 class TestEnvelope:
     def test_largest_magnitude_per_column(self):
         assert envelope(np.array([[3, -7], [-4, 2]], dtype=np.int64)) == [4, 7]
+        # One-signed columns: the reductions start at 0, which never wins.
+        assert envelope(np.array([[3, -7], [5, -2]], dtype=np.int64)) == [5, 7]
+
+    def test_no_rows_read_zero(self):
+        assert envelope(np.zeros((0, 3), dtype=np.int64)) == [0, 0, 0]
 
     def test_int64_min_reads_two_to_the_63(self):
         table = np.array([[INT64_MIN, INT64_MAX], [0, 0]], dtype=np.int64)

@@ -98,8 +98,8 @@ def callee(func):
 def test_one_row_converter():
     # Points and hyperplanes enter the library as an int64 table and a
     # HyperplaneFamily.  int64_rows converts outside rows in two places only,
-    # the json route and the query normals, and no alternate constructor,
-    # such as a HyperplaneFamily.of, turns objects into columns.
+    # the json route and a query's rows when it is made, and no alternate
+    # constructor, such as a HyperplaneFamily.of, turns objects into columns.
     converters, alternates = set(), []
     for path in sorted(SRC.glob("*.py")):
         for scope, node in scopes(ast.parse(path.read_text())):
@@ -110,7 +110,8 @@ def test_one_row_converter():
                            and ast.unparse(func.value) == "HyperplaneFamily"]
             alternates += [f"{scope} is a {name}" for name in map(ast.unparse, getattr(
                 node, "decorator_list", [])) if name in ("classmethod", "staticmethod")]
-    assert converters == {("io.py", "instance_from_dict"), ("reporting.py", "_int64_normals")}
+    assert converters == {("io.py", "instance_from_dict"),
+                          ("reporting.py", "SimplexQuery.__post_init__")}
     assert alternates == []
 
 

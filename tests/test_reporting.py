@@ -35,6 +35,10 @@ def satisfies(rows, p):
     return all(checked_dot(normal, p) <= offset for normal, offset in rows)
 
 
+NOT_AN_INTEGER = (ValueError, "every value of a query row must be an integer")
+BEYOND_INT64 = (ArithmeticOverflow, "a query row exceeds the 64-bit safe envelope")
+
+
 class TestHalfspaceAndQueryTypes:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
@@ -47,6 +51,33 @@ class TestHalfspaceAndQueryTypes:
             SimplexQuery((), ())
         with pytest.raises(ValueError):  # one offset per normal
             SimplexQuery(((1, 0), (0, 1)), (5,))
+
+    def test_rows_become_tuples_of_ints_when_made(self):
+        # Lists, numpy integers and tuples make one query, hashed and
+        # compared by its rows.
+        made = [
+            SimplexQuery(((1, -2), (0, 3)), (4, -5)),
+            SimplexQuery([[1, -2], [0, 3]], [4, -5]),
+            SimplexQuery(((np.int64(1), np.int8(-2)), (np.uint16(0), np.int32(3))),
+                         [np.int64(4), np.int16(-5)]),
+        ]
+        assert len(set(made)) == 1 and made[0] == made[1] == made[2]
+        for q in made:
+            assert q.normals == ((1, -2), (0, 3)) and q.offsets == (4, -5)
+            assert type(q.normals) is type(q.offsets) is tuple
+            assert {type(row) for row in q.normals} == {tuple}
+            assert {type(c) for c in (*q.offsets, *q.normals[0], *q.normals[1])} == {int}
+
+    @pytest.mark.parametrize("normals,offsets", [
+        ((np.array([1, 0]),), (3,)),
+        (({0: 1, 1: 0},), (3,)),
+        (((1, 0),), np.array([3])),
+        ("ab", (3, 4)),
+    ], ids=["array_normal", "dict_normal", "array_offsets", "str_normals"])
+    def test_rows_that_are_not_lists_or_tuples_are_refused(self, normals, offsets):
+        # A dict would pass its keys as the normal, as int64_rows' own shape check warns.
+        with pytest.raises(ValueError, match="^a query's normals and offsets must be lists"):
+            SimplexQuery(normals, offsets)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -384,11 +415,8 @@ class TestOracleEnvelope:
             # The first row prunes the root, so the traversal never
             # evaluates the second one.
             ([(0, 0), (1, 1)], ((1, 0), (2**62, 2**62)), (-5, 0)),
-            # A zero envelope bounds every value by 0, but the normal itself
-            # does not fit int64.
-            ([(0, 0), (0, 0)], ((2**64, 1),), (0,)),
         ],
-        ids=["per_axis_maximum", "after_pruning_constraint", "normal_outside_int64"],
+        ids=["per_axis_maximum", "after_pruning_constraint"],
     )
     def test_envelope_overflow_raises_in_both(self, points, normals, offsets):
         points, q = as_table(points), SimplexQuery(normals, offsets)
@@ -398,29 +426,30 @@ class TestOracleEnvelope:
             query(build_kdtree(points), q)
 
     @pytest.mark.parametrize(
-        "normals,offsets",
+        "normals,offsets,error",
         [
-            (((0.5, 1),), (3,)),
-            (((True, 1),), (3,)),
-            (((1, "2"),), (3,)),
-            (((0, 1),), (3.0,)),
-            (((0, 1),), (True,)),
-            (((0, 1), (1, 0)), (3, "2")),
-            (((0, 1),), (2**63,)),
+            (((0.5, 1),), (3,), NOT_AN_INTEGER),
+            (((True, 1),), (3,), NOT_AN_INTEGER),
+            (((1, "2"),), (3,), NOT_AN_INTEGER),
+            (((0, 1),), (3.0,), NOT_AN_INTEGER),
+            (((0, 1),), (True,), NOT_AN_INTEGER),
+            (((0, 1), (1, 0)), (3, "2"), NOT_AN_INTEGER),
+            (((0, 1),), (2**63,), BEYOND_INT64),
+            # A zero envelope would bound every value by 0, but the normal
+            # itself does not fit int64.
+            (((2**64, 1),), (0,), BEYOND_INT64),
         ],
         ids=["float_normal", "bool_normal", "str_normal", "float_offset", "bool_offset",
-             "str_offset", "offset_beyond_int64"],
+             "str_offset", "offset_beyond_int64", "normal_outside_int64"],
     )
-    def test_rows_outside_the_value_rule_raise_the_same_in_both(self, normals, offsets):
-        # On this grid the normal (0.5, 1) once got ids [0, 1, 8, 9] from the
-        # tree and [0, 1, 2, 8, 9, 10] from the oracle, which truncated it.
-        points, q = generate_points(normalize_params(2, 16, 2)), SimplexQuery(normals, offsets)
-        errors = []
-        for run in (lambda: query(build_kdtree(points), q), lambda: brute_force_query(points, q)):
-            with pytest.raises((ValueError, ArithmeticOverflow)) as raised:
-                run()
-            errors.append((type(raised.value), str(raised.value)))
-        assert errors[0] == errors[1]
+    def test_rows_outside_the_value_rule_raise_the_same_in_both(self, normals, offsets, error):
+        # On a 16-point grid the normal (0.5, 1) once got ids [0, 1, 8, 9]
+        # from the tree and [0, 1, 2, 8, 9, 10] from the oracle, which
+        # truncated it.  A query now refuses such rows when it is made, so
+        # neither query nor brute_force_query can be handed one.
+        with pytest.raises(error[0]) as raised:
+            SimplexQuery(normals, offsets)
+        assert (type(raised.value), str(raised.value)) == error
 
 
 class TestRandomQueries:
