@@ -25,12 +25,15 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
 
-def int_option(option: str, text: str) -> int:
-    """text as an int, or a ValueError that names the option and the text."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{option}: {text!r} is not an integer") from None
+def integer(text: str, option: str = "") -> int:
+    """text as an int when it is an optional '-' and then ASCII decimal digits,
+    the one integer grammar of every option (int() also takes '+4', ' 7', '1_0'
+    and non-ASCII digits).  argparse, as a type, names the option itself; other
+    callers pass it for the ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{option}: {text!r} is not an integer")
+    return int(text)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -56,7 +59,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = tuple(int_option("--sizes", v) for v in args.sizes.split(","))
+    sizes = tuple(integer(v, "--sizes") for v in args.sizes.split(","))
+    rule, _, t = args.t_rule.partition(":")
+    if rule == "fixed":
+        integer(t, "--t-rule")
     plan = bench_mod.ExperimentPlan(
         d=args.d,
         sizes=sizes,
@@ -95,7 +101,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     params = normalize_params(args.d, args.n, args.t)
-    space = params.n if args.space == "n" else int_option("--space", args.space)
+    space = params.n if args.space == "n" else integer(args.space, "--space")
     check_int64(space, "--space")
     if space < 1:
         raise ValueError(f"hypothetical space must be >= 1, got {space}")
@@ -118,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
-    gen.add_argument("-d", type=int, required=True, help="dimension (>= 2)")
-    gen.add_argument("-n", type=int, required=True, help="requested point count")
-    gen.add_argument("-t", type=int, required=True, help="requested richness")
+    gen.add_argument("-d", type=integer, required=True, help="dimension (>= 2)")
+    gen.add_argument("-n", type=integer, required=True, help="requested point count")
+    gen.add_argument("-t", type=integer, required=True, help="requested richness")
     gen.add_argument("--out", help="output path (default instance_d<d>_n<n>_t<t>.json)")
     gen.set_defaults(func=cmd_gen)
 
@@ -129,11 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     run = sub.add_parser("bench", help="benchmark slab queries over a size sweep")
-    run.add_argument("-d", type=int, required=True)
+    run.add_argument("-d", type=integer, required=True)
     run.add_argument("--sizes", required=True, help="comma-separated n values, increasing")
     run.add_argument("--t-rule", default="auto", help="'auto' or 'fixed:<t>'")
-    run.add_argument("--seed", type=int, default=0, help="query sampling seed")
-    run.add_argument("--leaf-capacity", type=int, default=reporting.DEFAULT_LEAF_CAPACITY)
+    run.add_argument("--seed", type=integer, default=0, help="query sampling seed")
+    run.add_argument("--leaf-capacity", type=integer, default=reporting.DEFAULT_LEAF_CAPACITY)
     run.add_argument("--out", required=True, help="stats CSV output path")
     run.set_defaults(func=cmd_bench)
 
@@ -142,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     bound = sub.add_parser("bound", help="evaluate the space bound for given params")
-    bound.add_argument("-d", type=int, required=True)
-    bound.add_argument("-n", type=int, required=True)
-    bound.add_argument("-t", type=int, required=True)
+    bound.add_argument("-d", type=integer, required=True)
+    bound.add_argument("-n", type=integer, required=True)
+    bound.add_argument("-t", type=integer, required=True)
     bound.add_argument(
         "--space",
         default="n",

@@ -1,13 +1,13 @@
 """Independent verification of the incidence-graph guarantees.
 
-Everything here works from an exact incidence graph built by a sort-join
-of hyperplane values against the points, not from the parametric
+Everything here works from an exact incidence graph built by a join of
+hyperplane values against the sorted points, not from the parametric
 generator, so it can serve as an oracle against geometry.py: richness
 (every family hyperplane meets exactly t points), pair coverage (no two
 points lie on more than A**(d-2) common hyperplanes, hence no
 K_{2, A**(d-2)+1} in the incidence graph), and the resulting space bound
 m*t / beta evaluated as an exact rational.  The per-pair reference scan
-that the sort-join replaced lives in the tests.
+that the join replaced lives in the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ArithmeticOverflow, DimensionMismatch
-from .exact import INT64_MAX, MAX_POINTS, charge, check_int64, envelope
+from .exact import INT64_MAX, INT64_MIN, MAX_POINTS, charge, check_int64, envelope
 from .geometry import (
     HyperplaneFamily,
     InstanceParams,
@@ -36,6 +36,10 @@ from .io import InstanceDocument
 # evaluates at once (a block holds at least one hyperplane), and most sorted
 # pair codes the run scan of pair_coverage compares at once.
 INCIDENCE_BLOCK = PAIR_SCAN_SLICE = 1 << 14
+
+# build_incidence_graph looks values up in (base, X_d) slot tables when the
+# points' box has at most this many cells per point, and searches otherwise.
+DENSE_SLOTS = 4
 
 # Bytes the join holds per incidence: 8 once joined, 16 at the final
 # concatenate, and twice as many for the block being sorted (32.3 measured).
@@ -115,24 +119,37 @@ def _first_row_over(family: HyperplaneFamily, max_abs: Sequence[int]) -> int:
 
 
 def build_incidence_graph(points: np.ndarray, family: HyperplaneFamily) -> IncidenceGraph:
-    """Incidence graph as an exact sort-join of hyperplane values and points.
+    """Incidence graph as an exact join of hyperplane values and points.
 
     Deliberately ignores the parametric structure so it can cross-check
     incident_points().  The point table (point_table) and the family's
     columns are joined as int64 tables; ArithmeticOverflow names the first
     hyperplane whose value could wrap (_first_row_over).  One stable lexsort
-    orders the points by (base X_1..X_{d-1}, X_d, index); the places where
-    the base changes group them into u distinct bases.  Each hyperplane is
-    evaluated once per base (the predicate X_d == b + sum(a_i * X_i)),
-    base-major, as bases @ slopes.T + offsets, so the matched values come
-    out grouped by base, and each is matched by binary search against the
-    points with that base.  This costs O(m*u*log n + incidences) instead of
-    testing all n*m pairs; in the grid family u = t.  Once u is known it
-    charges the m*u evaluations and, with the first block's scratch
-    (BLOCK_VALUE_BYTES per value), the output held to the end (ROW_OUTPUT_BYTES
-    per hyperplane, BLOCK_OUTPUT_BYTES per block); before each block's output,
-    that plus the incidences so far, INCIDENCE_BYTES each, the block's own twice.
-    The pair-by-pair scan it replaced is kept in the tests as the reference.
+    orders the points by (base X_1..X_{d-1}, X_d, index), so the points of
+    each (base, X_d) cell form one run of it, and groups them into u
+    distinct bases.  Each hyperplane is evaluated once per base (the
+    predicate X_d == b + sum(a_i * X_i)), base-major, as bases @ slopes.T +
+    offsets, and each value finds its cell's run by one of two routes:
+
+    - slot route, when the points fill their box: u * (max X_d - min X_d + 2)
+      <= DENSE_SLOTS * n, as on every grid.  Two int64 tables, one entry per
+      cell, hold each run's start and size; a value clipped into the X_d
+      range indexes them directly, the values outside it landing in the one
+      empty column per base.  O(m*u + incidences).
+    - searched route, any other point set: binary searches among the
+      distinct X_d, then among the runs.  O(m*u*log n + incidences).
+
+    When the table is in lexicographic order (every generated or saved one
+    is), the lexsort order is the identity and the matches are read
+    hyperplane-major, so each hyperplane's points come out at rising
+    indices.  Otherwise one stable sort of row * n + point per block orders
+    them.  Once u is known it charges the m*u evaluations, the slot tables
+    (16 bytes per cell), then those with the first block's scratch
+    (BLOCK_VALUE_BYTES per value) and the output held to the end
+    (ROW_OUTPUT_BYTES per hyperplane, BLOCK_OUTPUT_BYTES per block); before
+    each block's output, that plus the incidences so far, INCIDENCE_BYTES
+    each, the block's own twice.  The pair-by-pair scan it replaced is kept
+    in the tests as the reference.
     """
     coords = point_table(points)
     n, m = len(coords), len(family)
@@ -144,53 +161,83 @@ def build_incidence_graph(points: np.ndarray, family: HyperplaneFamily) -> Incid
         empty = np.zeros(m + 1, dtype=np.int64)
         return IncidenceGraph(point_count=n, indptr=empty, indices=empty[:0])
 
-    # X_d is only compared for equality, so the join key is (base id, rank
-    # of X_d among its distinct values): no arithmetic touches a raw X_d.
-    lasts, last_rank = np.unique(coords[:, -1], return_inverse=True)
     order = np.lexsort(coords.T[::-1])  # by (X_1, ..., X_{d-1}, X_d, index)
     ordered = coords[order, :-1]
     new_base = np.ones(n, dtype=bool)
     np.any(ordered[1:] != ordered[:-1], axis=1, out=new_base[1:])
     bases = ordered[new_base]
-    charge(f"{m} hyperplanes at {len(bases)} distinct bases", m * len(bases), "evaluations")
-    keys = (np.cumsum(new_base) - 1) * len(lasts) + last_rank[order]  # rising, < n**2
-    # The points sharing one key form the run order[run_start : run_start + run_size].
-    run_start = np.flatnonzero(np.diff(keys, prepend=-1))
-    run_keys, run_size = keys[run_start], np.diff(run_start, append=n)
+    u = len(bases)
+    charge(f"{m} hyperplanes at {u} distinct bases", m * u, "evaluations")
     max_abs = envelope(bases)
     over = _first_row_over(family, max_abs)
     if over < m:
         h = family[over]
         check_int64(h.b + sum(map(mul, h.a, max_abs)), f"incidence evaluation bound for {h}")
 
-    rows_per_block = max(1, INCIDENCE_BLOCK // len(bases))
-    block_values = min(rows_per_block, m) * len(bases)
+    base_id = np.cumsum(new_base) - 1
+    low, high = int(coords[:, -1].min()), int(coords[:, -1].max())
+    width = high - low + 2  # a Python int, as the X_d span may leave int64
+    cells = u * width + 1 if u * width <= DENSE_SLOTS * n else 0
+    rows_per_block = max(1, INCIDENCE_BLOCK // u)
+    block_values = min(rows_per_block, m) * u
     block_bytes = (BLOCK_VALUE_BYTES * block_values + ROW_OUTPUT_BYTES * (m + 1)
-                   + BLOCK_OUTPUT_BYTES * -(-m // rows_per_block))
+                   + BLOCK_OUTPUT_BYTES * -(-m // rows_per_block) + 16 * cells)
+    if cells:
+        charge(f"slot tables of {cells} (base, X_d) cells", 16 * cells)
+        # A point's cell is base_id * width + (X_d - low) + 1, so each base's
+        # first cell and the last one stay empty: there land the values
+        # below low (clipped to low - 1) and above high (to high + 1).
+        run_size = np.bincount(base_id * width + (coords[order, -1] - low) + 1, minlength=cells)
+        run_start = np.cumsum(run_size)
+        run_start -= run_size
+        below, above = max(low - 1, INT64_MIN), min(high + 1, INT64_MAX)
+        base_cells = np.arange(1, u * width, width)[:, None]
+    else:
+        # X_d is only compared for equality, so the join key is (base id,
+        # rank of X_d among its distinct values): no arithmetic touches X_d.
+        lasts, last_rank = np.unique(coords[:, -1], return_inverse=True)
+        keys = base_id * len(lasts) + last_rank[order]  # rising, < n**2
+        # The points sharing one key form the run order[run_start : run_start + run_size].
+        run_start = np.flatnonzero(np.diff(keys, prepend=-1))
+        run_keys, run_size = keys[run_start], np.diff(run_start, append=n)
+        base_keys = np.arange(0, u * len(lasts), len(lasts))[:, None]
+        del keys, last_rank
+    del ordered, new_base, base_id
+    in_order = bool((order[1:] > order[:-1]).all())
     charge(f"join blocks of {block_values} values and the rows of {m} hyperplanes", block_bytes)
-    base_keys = np.arange(0, len(bases) * len(lasts), len(lasts))[:, None]
     indices, row_lengths, joined = [], [], 0
     for lo in range(0, m, rows_per_block):
         hi = min(lo + rows_per_block, m)
-        # Base-major: row u of `values` holds every hyperplane at base u, so
-        # the join keys rise from one base to the next.
+        # Base-major: row b of `values` holds every hyperplane at base b.
         values = bases @ family.slopes[lo:hi].T + family.offsets[lo:hi]
-        rank = np.minimum(np.searchsorted(lasts, values), len(lasts) - 1)
-        key = base_keys + rank
-        run = np.minimum(np.searchsorted(run_keys, key), len(run_keys) - 1)
-        hit = (lasts[rank] == values) & (run_keys[run] == key)
-        count = np.where(hit, run_size[run], 0).ravel()
-        del values, rank, key, hit  # only run and count outlive the match
+        if cells:
+            run = np.clip(values, below, above) - low + base_cells  # clipped first: no wrap
+            count = run_size[run]
+        else:
+            rank = np.minimum(np.searchsorted(lasts, values), len(lasts) - 1)
+            key = base_keys + rank
+            run = np.minimum(np.searchsorted(run_keys, key), len(run_keys) - 1)
+            count = np.where((lasts[rank] == values) & (run_keys[run] == key), run_size[run], 0)
+            del rank, key
+        del values  # only run and count outlive the match
         joined += (new := int(count.sum()))
         charge(f"{joined} incidences", INCIDENCE_BYTES * (joined + new) + block_bytes)
-        row = np.repeat(np.tile(np.arange(hi - lo), len(bases)), count)
+        lengths = count.sum(axis=0)
+        if in_order:
+            # Hyperplane-major: each row's points come out in increasing index order.
+            run, count = run.T, count.T
+        count = count.ravel()
         run_offset = run_start[run].ravel() - (np.cumsum(count) - count)
-        point = order[np.arange(len(row)) + np.repeat(run_offset, count)]
-        # (row, point index) rises within each base, so a stable sort merges
-        # len(bases) sorted runs.  row < INCIDENCE_BLOCK keeps row * n small.
-        indices.append(np.sort(row * n + point, kind="stable") % n)
-        row_lengths.append(np.bincount(row, minlength=hi - lo))
-        del run, count, row, run_offset, point  # only the block's indices outlive it
+        point = order[np.arange(new) + np.repeat(run_offset, count)]
+        if not in_order:
+            # (row, point index) rises within each base, so a stable sort merges
+            # u sorted runs.  row < INCIDENCE_BLOCK keeps row * n small.
+            row = np.repeat(np.tile(np.arange(hi - lo), u), count)
+            point = np.sort(row * n + point, kind="stable") % n
+            del row
+        indices.append(point)
+        row_lengths.append(lengths)
+        del run, count, run_offset, point  # only the block's output outlives it
 
     indptr = np.concatenate(([0], *row_lengths)).cumsum()
     indices = np.concatenate(indices)  # frees the blocks before the graph checks them
@@ -284,7 +331,8 @@ def charge_verify(params: InstanceParams) -> int:
     """Charge, and return, the bytes verify_instance may hold at once on params.
 
     Sums each phase's peak on the family that params generate: per point its
-    int64 row, generate_points' copy and the join's sort keys, per hyperplane
+    int64 row, generate_points' copy and the join's order and slot tables
+    (the grid has n + s**(d-1) + 1 cells of 16 bytes), per hyperplane
     its int64 rows (three copies in np.indices) and counters, one block of the
     join's per-value scratch, INCIDENCE_BYTES per incidence, and _pair_bytes.
     The tracemalloc peak of verify_instance was 41-84% of it at d = 2..4, n =

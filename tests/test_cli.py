@@ -445,7 +445,8 @@ class TestPreflight:
         # The stored sections above: the join's first block holds 16,384 values
         # (8,192 hyperplanes at 2 bases), whose scratch (72 bytes each) is
         # charged before it exists, with the output of all 100,000 rows (24
-        # bytes each, and 320 for each of the 13 blocks).
+        # bytes each, and 320 for each of the 13 blocks) and the slot tables
+        # the blocks index (19 cells, 16 bytes each).
         doc = json.loads(instance_file.read_text())
         doc["hyperplanes"] *= 12500
         instance_file.write_text(json.dumps(doc))
@@ -454,7 +455,7 @@ class TestPreflight:
         assert (rc, stdout) == (3, "")
         assert stderr.startswith(
             "error: join blocks of 16384 values and the rows of 100000 hyperplanes take up to"
-            " 3583832 bytes"
+            " 3584136 bytes"
         )
         error, peak = traced_peak(verify_instance, load_instance(instance_file))
         assert isinstance(error, InstanceTooLarge)
@@ -769,3 +770,37 @@ def test_bench_csv_and_fit_stdout_are_pinned(d, sizes, tmp_path, capsys):
     digest, fit_stdout = RECORDED_BENCH[d, sizes]
     assert hashlib.sha256(body).hexdigest() == digest
     assert run_cli(capsys, "fit", str(out))[:2] == (0, fit_stdout)
+
+
+# Forms that int() takes and the command line's one integer grammar (an
+# optional '-', then ASCII decimal digits) refuses; the last is ARABIC-INDIC
+# DIGIT THREE.
+NOT_INTEGERS = {"plus_sign": "+4", "leading_space": " 7", "underscores": "1_0_2_4",
+                "non_ascii_digit": "٣"}
+VALID_OPTIONS = {
+    "gen": {"-d": "2", "-n": "16", "-t": "2"},
+    "bench": {"-d": "2", "--sizes": "64", "--t-rule": "auto", "--seed": "0",
+              "--leaf-capacity": "8", "--out": "stats.csv"},
+    "bound": {"-d": "2", "-n": "16", "-t": "2", "--space": "n"},
+}
+INTEGER_OPTIONS = [(command, option) for command, options in VALID_OPTIONS.items()
+                   for option in options if option != "--out"]
+
+
+@pytest.mark.parametrize("form", list(NOT_INTEGERS))
+@pytest.mark.parametrize("command,option", INTEGER_OPTIONS)
+def test_integer_options_take_one_grammar(tmp_path, capsys, monkeypatch, command, option, form):
+    # `bench --sizes 1_0_2_4` once ran n = 1012.  Options that argparse converts
+    # exit through it, with its usage line; the others through main.
+    monkeypatch.chdir(tmp_path)
+    text = NOT_INTEGERS[form]
+    options = {**VALID_OPTIONS[command], option: f"fixed:{text}" if option == "--t-rule" else text}
+    argv = [command, *(word for pair in options.items() for word in pair)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert repr(text) in err and "integer" in err
+    assert list(tmp_path.iterdir()) == []

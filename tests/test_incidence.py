@@ -27,6 +27,7 @@ from srlb.geometry import (
     normalize_params,
 )
 from srlb.incidence import (
+    INCIDENCE_BLOCK,
     IncidenceGraph,
     _contained_at_top_corner,
     bound_report,
@@ -361,6 +362,15 @@ def _bases_tie_on_leading_coordinates():
     return points, _random_hyperplanes(rng, 4, 70, 3, 6)
 
 
+def _int64_top_against_int64_min():
+    # X_d at the top of int64 over two bases, 2**63 - 2 apart; the first
+    # hyperplane's value at the low base is -2**63 + 3, so value - min X_d
+    # would leave int64 by about 2**64 if it were taken before the clip.
+    top = [(x, INT64_MAX - 3 + j) for x in (-(2**62) + 1, 2**62 - 1) for j in range(4)]
+    hyperplanes = [Hyperplane(a=(2,), b=1)] + [Hyperplane(a=(1,), b=2**62 - j) for j in range(4)]
+    return top, hyperplanes
+
+
 SORT_JOIN_INPUTS = {
     "family_d2": lambda: _family(2, 256, 4),
     "family_d3": lambda: _family(3, 96, 4),
@@ -376,7 +386,22 @@ SORT_JOIN_INPUTS = {
     "middle_and_last_overflow": _middle_and_last_overflow,
     "int64_min_base_coordinate": _int64_min_base,
     "shuffled_d4_bases_tie_on_leading_coordinates": _bases_tie_on_leading_coordinates,
+    "int64_max_x_d_against_values_near_int64_min": _int64_top_against_int64_min,
 }
+
+# The route each input takes at the default DENSE_SLOTS; the overflow inputs
+# raise before either.  Of the slot inputs, UNORDERED are not in
+# lexicographic order, so their rows are sorted at the end.
+SLOT_ROUTE = {
+    "family_d2", "family_d3", "family_d3_verify_size", "family_d4",
+    "off_family_and_empty_rows", "one_shared_base", "shuffled_with_duplicates",
+    "int64_max_x_d_against_values_near_int64_min",
+}
+SEARCHED_ROUTE = {
+    "all_bases_distinct", "zero_and_negative_coordinates",
+    "shuffled_d4_bases_tie_on_leading_coordinates", "family_bound_overflows_each_fits",
+}
+UNORDERED = {"one_shared_base", "shuffled_with_duplicates"}
 
 
 @pytest.mark.parametrize("case", sorted(SORT_JOIN_INPUTS))
@@ -391,6 +416,55 @@ def test_sort_join_in_small_blocks_matches_naive_scan(case, monkeypatch):
     # back to one hyperplane per block.
     monkeypatch.setattr(srlb.incidence, "INCIDENCE_BLOCK", 64)
     _check_sort_join(case)
+
+
+@pytest.mark.parametrize("block", [INCIDENCE_BLOCK, 64])
+@pytest.mark.parametrize("case", sorted(SORT_JOIN_INPUTS))
+def test_searched_route_matches_naive_scan(case, block, monkeypatch):
+    # The same inputs with the slot route switched off, in default and small blocks.
+    monkeypatch.setattr(srlb.incidence, "DENSE_SLOTS", 0)
+    monkeypatch.setattr(srlb.incidence, "INCIDENCE_BLOCK", block)
+    _check_sort_join(case)
+
+
+def join_route(monkeypatch, table, family):
+    """'slot' or 'searched', the route build_incidence_graph takes on the
+    input (read from the charges it makes), or None if it raises first."""
+    charged, charge = [], srlb.incidence.charge
+
+    def record(what, amount, unit="bytes"):
+        charged.append(what)
+        charge(what, amount, unit)
+
+    monkeypatch.setattr(srlb.incidence, "charge", record)
+    try:
+        build_incidence_graph(table, family)
+    except ArithmeticOverflow:
+        return None
+    return "slot" if any(what.startswith("slot tables") for what in charged) else "searched"
+
+
+@pytest.mark.parametrize("case", sorted(SORT_JOIN_INPUTS))
+def test_join_route_at_the_default(case, monkeypatch):
+    points, hyperplanes = SORT_JOIN_INPUTS[case]()
+    table = points if isinstance(points, np.ndarray) else as_table(points)
+    route = join_route(monkeypatch, table, as_family(list(hyperplanes)))
+    assert route == ("slot" if case in SLOT_ROUTE else "searched" if case in SEARCHED_ROUTE
+                     else None)
+    if route == "slot":
+        lexicographic = (np.lexsort(table.T[::-1]) == np.arange(len(table))).all()
+        assert lexicographic == (case not in UNORDERED)
+
+
+def test_searched_route_allocates_nothing_by_the_x_d_span(traced_peak, monkeypatch):
+    # X_d spans 2**62 + 2 over four bases: a box of about 2**64 cells, so the
+    # slot route, and any table sized by the span, is out.
+    points, hyperplanes = _family_bound_overflows()
+    table, family = as_table(points), as_family(hyperplanes)
+    graph, peak = traced_peak(build_incidence_graph, table, family)
+    assert graph.adjacency == ((0, 2), (1, 2))
+    assert peak <= 64 * 1024
+    assert join_route(monkeypatch, table, family) == "searched"
 
 
 def _check_sort_join(case):
