@@ -31,9 +31,12 @@ def integer(text: str, option: str = "") -> int:
     and non-ASCII digits).  argparse, as a type, names the option itself; other
     callers pass it for the ValueError."""
     digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{option}: {text!r} is not an integer")
-    return int(text)
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts; echo only the first 40
+            text = f"{text[:40]}..."
+    raise ValueError(f"{option}: {text!r} is not an integer")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

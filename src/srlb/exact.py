@@ -11,6 +11,7 @@ a table's columns.  charge alone refuses an instance as too large.
 from __future__ import annotations
 
 from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,7 +47,7 @@ def check_int64(value: int, what: str) -> int:
     return value
 
 
-def checked_dot(coeffs: Sequence[int], values: Sequence[int], offset: int = 0) -> int:
+def checked_dot(coeffs: Iterable[int], values: Iterable[int], offset: int = 0) -> int:
     """Exact offset + sum(c_i * v_i) with an int64 envelope check.
 
     The check accumulates magnitudes, so it is safe even when terms cancel:
@@ -55,8 +56,7 @@ def checked_dot(coeffs: Sequence[int], values: Sequence[int], offset: int = 0) -
     """
     total = offset
     magnitude = abs(offset)
-    for c, v in zip(coeffs, values):
-        term = c * v
+    for term in map(mul, coeffs, values):
         total += term
         magnitude += abs(term)
     if magnitude > INT64_MAX:
@@ -111,8 +111,7 @@ def int64_rows(rows: Sequence[Sequence[int]], width: int, what: str) -> np.ndarr
 def envelope(table: np.ndarray) -> list[int]:
     """Largest |entry| per column of an int64 table, as Python ints; 0 for no rows.
 
-    Taken as max(-min, max) of the column reductions started at 0, with no
-    copy of the table; as Python ints, |INT64_MIN| is 2**63 and does not wrap.
+    Taken as max(-min, max) of each column of table.T reduced on its own from
+    0, with no copy; as Python ints, |INT64_MIN| is 2**63 and does not wrap.
     """
-    lows, highs = table.min(axis=0, initial=0).tolist(), table.max(axis=0, initial=0).tolist()
-    return [max(-lo, hi) for lo, hi in zip(lows, highs)]
+    return [max(-int(column.min(initial=0)), int(column.max(initial=0))) for column in table.T]

@@ -17,6 +17,7 @@ import itertools
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -129,11 +130,12 @@ class Hyperplane(NamedTuple):
 class HyperplaneFamily:
     """Hyperplanes held as int64 columns: slopes (m, d-1) and offsets (m,).
 
-    Sized, int-indexable and iterable: an int index builds one Hyperplane,
-    and iteration builds them from one tolist() per column.  Every row
-    enters the library through here, so this is where each coefficient is
-    checked to be >= 1; the first row that is not is named.  The arrays are
-    frozen in place, not copied, so nothing may write to them or their bases later.
+    Sized, int-indexable and iterable: an int index builds one Hyperplane, and
+    iteration zips one tolist() per column into (a, b) pairs and makes each
+    Hyperplane from its pair in C, by tuple.__new__.  Every row enters the
+    library through here, so this is where each coefficient is checked to be
+    >= 1, one column at a time; the first row that is not is named.  The arrays
+    are frozen in place, not copied, so nothing may write to them or their bases later.
     """
 
     def __init__(self, slopes: np.ndarray, offsets: np.ndarray) -> None:
@@ -142,7 +144,9 @@ class HyperplaneFamily:
             and slopes.shape[1] >= 1 and offsets.shape == slopes.shape[:1]
         ):
             raise ValueError("need int64 slopes of shape (m, d-1), d >= 2, and offsets (m,)")
-        bad = (slopes < 1).any(axis=1) | (offsets < 1)
+        bad = offsets < 1
+        for column in slopes.T:
+            bad |= column < 1
         if bad.any():
             first = int(bad.argmax())
             a, b = tuple(slopes[first].tolist()), int(offsets[first])
@@ -162,7 +166,8 @@ class HyperplaneFamily:
         return Hyperplane(tuple(self.slopes[index].tolist()), int(self.offsets[index]))
 
     def __iter__(self) -> Iterator[Hyperplane]:
-        return map(Hyperplane, map(tuple, self.slopes.tolist()), self.offsets.tolist())
+        rows = zip(zip(*self.slopes.T.tolist()), self.offsets.tolist())
+        return map(partial(tuple.__new__, Hyperplane), rows)
 
 
 def normalize_params(d: int, n_requested: int, t_requested: int) -> InstanceParams:

@@ -163,8 +163,10 @@ def build_incidence_graph(points: np.ndarray, family: HyperplaneFamily) -> Incid
 
     order = np.lexsort(coords.T[::-1])  # by (X_1, ..., X_{d-1}, X_d, index)
     ordered = coords[order, :-1]
-    new_base = np.ones(n, dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new_base[1:])
+    new_base = np.zeros(n, dtype=bool)
+    new_base[0] = True
+    for column in ordered.T:
+        new_base[1:] |= column[1:] != column[:-1]
     bases = ordered[new_base]
     u = len(bases)
     charge(f"{m} hyperplanes at {u} distinct bases", m * u, "evaluations")

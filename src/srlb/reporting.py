@@ -268,10 +268,14 @@ def slab_query_for(h: Hyperplane) -> SimplexQuery:
 
 
 def brute_force_query(points: np.ndarray, q: SimplexQuery) -> np.ndarray:
-    """Ground-truth scan of the point table, exact; the ascending ids of the rows it reports."""
+    """Ground-truth scan of the point table, exact; the ascending ids of the rows it reports.
+
+    Tests normals @ coords.T, one row per constraint, and reduces over the constraints:
+    numpy does that several times faster than it reduces a (points, rows) table by row."""
     coords = point_table(points)
     _check_envelope(q, envelope(coords))
-    return np.flatnonzero((coords @ np.array(q.normals, np.int64).T <= q.offsets).all(axis=1))
+    inside = np.array(q.normals, np.int64) @ coords.T <= np.array(q.offsets, np.int64)[:, None]
+    return np.flatnonzero(inside.all(axis=0))
 
 
 def random_simplex_queries(

@@ -530,6 +530,22 @@ class TestBenchAndFit:
         assert (rc, stdout, stderr) == (2, "", f"error: --sizes: {bad!r} is not an integer\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--sizes", "--t-rule", "--space"])
+    def test_digit_strings_past_int_limit_name_their_option(self, tmp_path, capsys, option):
+        # int() refuses more than 4,300 digits with a text that names no option.
+        ones = "1" * 5000
+        out = tmp_path / "x.csv"
+        argv = {
+            "--sizes": ["bench", "-d", "2", "--sizes", ones, "--out", str(out)],
+            "--t-rule": ["bench", "-d", "2", "--sizes", "64", "--t-rule", f"fixed:{ones}",
+                         "--out", str(out)],
+            "--space": ["bound", "-d", "2", "-n", "16", "-t", "2", "--space", ones],
+        }[option]
+        rc, stdout, stderr = run_cli(capsys, *argv)
+        error = f"error: {option}: {ones[:40] + '...'!r} is not an integer\n"
+        assert (rc, stdout, stderr) == (2, "", error)
+        assert not out.exists()
+
     @pytest.mark.parametrize("capacity", ["0", "-1"])
     def test_bench_refuses_leaf_capacity_below_one_before_the_file(self, tmp_path, capsys,
                                                                     capacity):

@@ -18,6 +18,16 @@ class TestCheckedScalars:
         with pytest.raises(ArithmeticOverflow):  # 2**62 + 2**62 wraps, though it cancels
             checked_dot((1, -1), (2**62, 2**62))
 
+    def test_checked_dot_overflow_text_on_an_iterator(self):
+        # _check_envelope passes map(abs, normal), which can be read only once.
+        magnitude = 3 * 2**62
+        with pytest.raises(ArithmeticOverflow) as raised:
+            checked_dot(map(abs, (-1, 2)), iter((2**62, 2**62)))
+        assert str(raised.value) == (
+            f"dot product magnitude {magnitude} exceeds the 64-bit safe envelope"
+        )
+        assert checked_dot(map(abs, (-3, 2)), iter((5, 7)), 4) == 33
+
 
 class TestInt64Rows:
     def test_non_integer_values_are_refused(self):
@@ -76,3 +86,19 @@ class TestEnvelope:
         bounds = envelope(table)
         assert bounds == [2**63, INT64_MAX]
         assert all(type(b) is int for b in bounds)
+
+    def test_non_contiguous_view(self):
+        # The loader hands the family its slopes as table[:, :-1], a strided view.
+        rng = np.random.default_rng(5)
+        table = rng.integers(-1000, 1000, (200, 4))
+        table[17, 2] = INT64_MIN
+        view = table[:, :-1]
+        assert not view.flags.c_contiguous
+        expected = [max(abs(v) for v in column) for column in zip(*view.tolist())]
+        assert envelope(view) == expected and expected[2] == 2**63
+
+    def test_sixty_three_columns(self):
+        table = np.arange(-63 * 5, 0, dtype=np.int64).reshape(5, 63)
+        table[:, ::2] *= -1
+        assert envelope(table) == [max(abs(v) for v in column) for column in table.T.tolist()]
+        assert envelope(table[:0]) == [0] * 63

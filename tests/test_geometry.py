@@ -330,6 +330,7 @@ class TestHyperplaneFamily:
         assert (len(family), family.d) == (params.m, d)
         assert family.slopes.shape == (params.m, d - 1) and family.offsets.shape == (params.m,)
         assert list(family) == reference_generate_hyperplanes(params)
+        assert all(type(h) is Hyperplane and type(h.a) is tuple for h in family)
         assert all(type(c) is int for h in family for c in (*h.a, h.b))
 
     def test_columns_are_read_only(self, d3_instance):
@@ -346,13 +347,20 @@ class TestHyperplaneFamily:
             ([(1, 1, 1), (2, 3, 1), (2, -4, 7), (0, 0, 0)], 2),
             ([(1, 1), (1, 1), (3, 0)], 2),
             ([(-(2**63), 2**63 - 1)], 0),
+            # Only the last slope column, or only the offset, of the first bad row.
+            ([(1, 1, 1, 1), (2, 3, 0, 5), (0, 1, 1, 1)], 1),
+            ([(1, 1, 1, 1), (2, 3, 4, 0), (1, 0, 1, 1)], 1),
+            ([(1, 1), (1, 1), (1, 1), (1, -3), (-3, 1)], 3),
         ],
     )
     def test_first_bad_row_named_as_hyperplane_names_it(self, rows, bad):
-        with pytest.raises(ValueError) as raised:
-            HyperplaneFamily(*_columns(rows))
-        a, b = rows[bad][:-1], rows[bad][-1]
-        assert str(raised.value) == f"coefficients must be >= 1, got a={a}, b={b}"
+        table = np.array(rows, dtype=np.int64)
+        # Fresh columns, and views of one table as the loader passes them.
+        for columns in (_columns(rows), (table[:, :-1], table[:, -1])):
+            with pytest.raises(ValueError) as raised:
+                HyperplaneFamily(*columns)
+            a, b = rows[bad][:-1], rows[bad][-1]
+            assert str(raised.value) == f"coefficients must be >= 1, got a={a}, b={b}"
 
     @pytest.mark.parametrize(
         "slopes,offsets",

@@ -362,6 +362,15 @@ def _bases_tie_on_leading_coordinates():
     return points, _random_hyperplanes(rng, 4, 70, 3, 6)
 
 
+def _d2_bases_with_x_d_ties():
+    # d = 2, shuffled: each base X_1 repeats, its points tie on X_d, and a
+    # base's points are split apart in input order by other bases' ties.
+    rng = random.Random(19)
+    points = [(x, z) for x in (9, 3, 5) for z in (1, 2, 2, 4, 4, 4)]
+    rng.shuffle(points)
+    return points, _random_hyperplanes(rng, 2, 30, 3, 6)
+
+
 def _int64_top_against_int64_min():
     # X_d at the top of int64 over two bases, 2**63 - 2 apart; the first
     # hyperplane's value at the low base is -2**63 + 3, so value - min X_d
@@ -387,6 +396,7 @@ SORT_JOIN_INPUTS = {
     "int64_min_base_coordinate": _int64_min_base,
     "shuffled_d4_bases_tie_on_leading_coordinates": _bases_tie_on_leading_coordinates,
     "int64_max_x_d_against_values_near_int64_min": _int64_top_against_int64_min,
+    "shuffled_d2_bases_with_x_d_ties": _d2_bases_with_x_d_ties,
 }
 
 # The route each input takes at the default DENSE_SLOTS; the overflow inputs
@@ -395,13 +405,13 @@ SORT_JOIN_INPUTS = {
 SLOT_ROUTE = {
     "family_d2", "family_d3", "family_d3_verify_size", "family_d4",
     "off_family_and_empty_rows", "one_shared_base", "shuffled_with_duplicates",
-    "int64_max_x_d_against_values_near_int64_min",
+    "int64_max_x_d_against_values_near_int64_min", "shuffled_d2_bases_with_x_d_ties",
 }
 SEARCHED_ROUTE = {
     "all_bases_distinct", "zero_and_negative_coordinates",
     "shuffled_d4_bases_tie_on_leading_coordinates", "family_bound_overflows_each_fits",
 }
-UNORDERED = {"one_shared_base", "shuffled_with_duplicates"}
+UNORDERED = {"one_shared_base", "shuffled_with_duplicates", "shuffled_d2_bases_with_x_d_ties"}
 
 
 @pytest.mark.parametrize("case", sorted(SORT_JOIN_INPUTS))

@@ -338,6 +338,14 @@ class TestBruteForceOracle:
         with pytest.raises(DimensionMismatch):
             brute_force_query(as_table([(1, 2)] * n, 2), SimplexQuery(((1, 1, 1),), (0,)))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_no_points_for_every_row_count(self, d):
+        # test_same_brute_force_lists covers 1 to d+1 rows on points.
+        for rows in range(1, d + 2):
+            q = SimplexQuery([(1,) * d] * rows, [0] * rows)
+            reported = brute_force_query(as_table([], d), q)
+            assert reported.dtype == np.intp and reported.size == 0
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_query_matches_brute_force_on_random_queries(self, seed, d3_instance):
         params, points, _ = d3_instance
