@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
 from .errors import InsufficientData
-from .exact import charge
+from .exact import charge, check_int64, integer
 from .geometry import (
     InstanceParams,
     digit_shape,
@@ -17,7 +17,7 @@ from .geometry import (
     largest_valid_richness,
     normalize_params,
 )
-from .io import stats_row
+from .io import STATS_HEADER, stats_row
 from .reporting import DEFAULT_LEAF_CAPACITY, build_kdtree, query, slab_query_for
 
 # Above this family size, a seeded uniform sample of hyperplanes is
@@ -42,7 +42,8 @@ def peak_bytes(params: InstanceParams, leaf_capacity: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A bench sweep: one instance per size, all sharing d, t rule, and seed."""
+    """A bench sweep: one instance per size, all sharing d, t rule, and seed.
+    Making one is the whole bench pre-flight, so it comes before any file opens."""
 
     d: int
     sizes: tuple[int, ...]
@@ -54,20 +55,26 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("plan needs at least one size")
-        digit_shape(self.d, 1, 1)  # generate_points' d cap, before any file opens
-        rule, _, t = self.t_rule.partition(":")
-        if not (self.t_rule == "auto" or rule == "fixed" and t.isascii() and t.isdigit()):
+        digit_shape(self.d, 1, 1)  # generate_points' d cap
+        rule, _, text = self.t_rule.partition(":")
+        t = integer(text, "--t-rule") if rule == "fixed" and text else None
+        if not (self.t_rule == "auto" or t is not None and t >= 0):
             raise ValueError(f"t rule must be 'auto' or 'fixed:<t>', got {self.t_rule!r}")
-        if self.leaf_capacity < 1:  # build_kdtree's check, before any file opens
+        if self.leaf_capacity < 1:  # build_kdtree's check
             raise ValueError(f"leaf capacity must be >= 1, got {self.leaf_capacity}")
+        check_int64(self.leaf_capacity, "leaf capacity")  # both go into the CSV comment
+        check_int64(self.seed, "seed")
         # Every (n, t) pair must normalize (RangeTooTight up front), and to a
         # larger n than the last, or fit would count one instance twice.
-        instances = tuple(normalize_params(self.d, n, int(t)) if t
-                          else largest_valid_richness(self.d, n) for n in self.sizes)
+        instances = tuple(largest_valid_richness(self.d, n) if t is None
+                          else normalize_params(self.d, n, t) for n in self.sizes)
         object.__setattr__(self, "instances", instances)
         resolved = tuple(params.n for params in instances)
         if any(b <= a for a, b in zip(resolved, resolved[1:])):
             raise ValueError(f"sizes {self.sizes} give n = {resolved}, not strictly increasing")
+        for params in instances:
+            charge(f"size n = {params.n}: its points and kd-tree",
+                   peak_bytes(params, self.leaf_capacity))
 
 
 @dataclass(frozen=True)
@@ -88,13 +95,13 @@ def select_query_ids(m: int, seed: int) -> list[int]:
 
 
 def aggregate_rows(per_query_rows: Sequence[dict]) -> list[dict]:
-    """One 'mean' and one 'max' row aggregating every stat column."""
+    """One 'mean' and one 'max' row reducing every stat column, STATS_HEADER[3:]."""
     if not per_query_rows:
         return []
     n, d = per_query_rows[0]["n"], per_query_rows[0]["d"]
-    cols = ("k", "nodes_visited", "leaves_scanned", "points_tested")
     return [
-        stats_row(n, d, query_id, **{c: reduce([r[c] for r in per_query_rows]) for c in cols})
+        {"n": n, "d": d, "query_id": query_id,
+         **{c: reduce([r[c] for r in per_query_rows]) for c in STATS_HEADER[3:]}}
         for query_id, reduce in (("mean", lambda v: sum(v) / len(v)), ("max", max))
     ]
 
@@ -102,20 +109,11 @@ def aggregate_rows(per_query_rows: Sequence[dict]) -> list[dict]:
 def run_plan(plan: ExperimentPlan) -> Iterator[tuple[InstanceParams, dict]]:
     """Slab-query every (sampled) family hyperplane of each size in turn.
 
-    Each size is charged its peak_bytes first, on the call itself: one over
-    the budget raises InstanceTooLarge before anything is generated.
-    The returned iterator yields (params, row): per instance, the
-    per-query rows in query-id order, then its 'mean' and 'max' rows, one
-    at a time so callers can flush each row before the next query runs; a
-    failure mid-instance leaves the completed rows behind.
+    Yields (params, row): per instance, the per-query rows in query-id
+    order, then its 'mean' and 'max' rows, one at a time so callers can
+    flush each row before the next query runs; a failure mid-instance
+    leaves the completed rows behind.
     """
-    for params in plan.instances:
-        charge(f"size n = {params.n}: its points and kd-tree",
-               peak_bytes(params, plan.leaf_capacity))
-    return _slab_rows(plan)
-
-
-def _slab_rows(plan: ExperimentPlan) -> Iterator[tuple[InstanceParams, dict]]:
     for params in plan.instances:
         tree = build_kdtree(generate_points(params), leaf_capacity=plan.leaf_capacity)
         per_query = []
@@ -154,17 +152,20 @@ def fit_loglog(pairs: Sequence[tuple[Union[int, float], float]]) -> FitResult:
 def fit_from_rows(rows: Sequence[dict]) -> FitResult:
     """Fit using the 'mean' aggregate rows of a stats table.
 
-    A mean row without a positive integer n and a finite, positive
-    nodes_visited has no logarithm, so it is rejected by name, not fitted.
+    A mean row is rejected by name, not fitted, unless n is a positive
+    integer in exact.integer's grammar and nodes_visited a finite, positive
+    float written without '_', surrounding spaces or non-ASCII characters.
     """
     pairs = []
     for r in rows:
         if str(r["query_id"]) == "mean":
+            text = str(r["nodes_visited"])
             try:
-                n, visits = int(r["n"]), float(r["nodes_visited"])
+                n, visits = integer(str(r["n"])), float(text)
             except ValueError:  # not a number: refused below, by name
                 n = visits = 0
-            if not (0 < n and 0 < visits < math.inf):
+            if not (0 < n and 0 < visits < math.inf
+                    and text.isascii() and text == text.strip() and "_" not in text):
                 raise ValueError(f"mean row n={r['n']}, nodes_visited={r['nodes_visited']}: n"
                                  " must be a positive integer, nodes_visited finite and positive")
             pairs.append((n, visits))

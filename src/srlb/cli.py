@@ -17,26 +17,12 @@ from typing import Optional, Sequence
 from . import bench as bench_mod
 from . import incidence, io, reporting
 from .errors import InstanceTooLarge, SrlbError
-from .exact import check_int64
+from .exact import check_int64, integer
 from .geometry import generate_hyperplanes, generate_points, normalize_params
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
-
-
-def integer(text: str, option: str = "") -> int:
-    """text as an int when it is an optional '-' and then ASCII decimal digits,
-    the one integer grammar of every option (int() also takes '+4', ' 7', '1_0'
-    and non-ASCII digits).  argparse, as a type, names the option itself; other
-    callers pass it for the ValueError."""
-    digits = text[1:] if text.startswith("-") else text
-    if digits.isascii() and digits.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts; echo only the first 40
-            text = f"{text[:40]}..."
-    raise ValueError(f"{option}: {text!r} is not an integer")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -62,37 +48,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = tuple(integer(v, "--sizes") for v in args.sizes.split(","))
-    rule, _, t = args.t_rule.partition(":")
-    if rule == "fixed":
-        integer(t, "--t-rule")
-    plan = bench_mod.ExperimentPlan(
+    plan = bench_mod.ExperimentPlan(  # the pre-flight, before the file opens
         d=args.d,
-        sizes=sizes,
+        sizes=tuple(integer(v, "--sizes") for v in args.sizes.split(",")),
         t_rule=args.t_rule,
         seed=args.seed,
         leaf_capacity=args.leaf_capacity,
     )
-    rows = bench_mod.run_plan(plan)  # the pre-flight, before the file opens
     stamp = datetime.now(timezone.utc).isoformat()
     comment = (
         f"srlb bench {stamp} d={plan.d} t_rule={plan.t_rule}"
         f" seed={plan.seed} leaf_capacity={plan.leaf_capacity}"
     )
-    instance_rows: list[dict] = []
+    size_rows: dict = {}  # this size's rows by query id
     with io.StatsCsvWriter(args.out, comment=comment) as writer:
-        for params, row in rows:
+        for params, row in bench_mod.run_plan(plan):
             writer.write_rows([row])
-            instance_rows.append(row)
+            size_rows[row["query_id"]] = row
             if row["query_id"] == "max":
-                mean_row, max_row = instance_rows[-2], instance_rows[-1]
                 print(
                     " ".join(f"{key}={value}" for key, value in io.params_to_dict(params).items()),
-                    f"queries={len(instance_rows) - 2}"
-                    f" mean_visits={io.format_stat(mean_row['nodes_visited'])}"
-                    f" max_visits={io.format_stat(max_row['nodes_visited'])}"
+                    f"queries={len(size_rows) - 2}"
+                    f" mean_visits={io.format_stat(size_rows['mean']['nodes_visited'])}"
+                    f" max_visits={io.format_stat(row['nodes_visited'])}"
                 )
-                instance_rows = []
+                size_rows = {}
     return EXIT_OK
 
 

@@ -4,8 +4,9 @@ Python integers never wrap, but every number this package emits (JSON
 instances, CSV stats) must stay representable as a signed 64-bit value so
 downstream consumers can rely on exact arithmetic too.  These helpers make
 that envelope an explicit, testable contract, state the one rule for values
-from outside (all_integers), and alone turn rows into int64 tables or bound
-a table's columns.  charge alone refuses an instance as too large.
+from outside (all_integers) and the one grammar for integers written as text
+(integer), and alone turn rows into int64 tables or bound a table's columns.
+charge alone refuses an instance as too large.
 """
 
 from __future__ import annotations
@@ -80,6 +81,20 @@ def iroot(value: int, k: int) -> int:
     while (r + 1) ** k <= value:
         r += 1
     return r
+
+
+def integer(text: str, option: str = "") -> int:
+    """text as an int when it is an optional '-' and then ASCII decimal digits,
+    the one integer grammar of every option (int() also takes '+4', ' 7', '1_0'
+    and non-ASCII digits).  argparse, as a type, names the option itself; other
+    callers pass it for the ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts; echo only the first 40
+            text = f"{text[:40]}..."
+    raise ValueError(f"{option}: {text!r} is not an integer")
 
 
 def all_integers(values: Iterable) -> bool:

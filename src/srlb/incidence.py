@@ -411,6 +411,7 @@ def bound_report(params: InstanceParams) -> dict:
     """
     beta = params.pair_coverage_bound() + 1
     merit = Fraction(params.m * params.t, beta)
+    check_int64(merit.numerator, "figure of merit numerator")  # den <= beta, which fits
     exponent = Fraction(params.d - 1, params.d)
     return {
         "m": params.m,

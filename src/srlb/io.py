@@ -284,15 +284,8 @@ def read_stats_csv(path: PathLike) -> list[dict]:
     return [dict(zip(STATS_HEADER, row)) for row in rows]
 
 
-def stats_row(
-    n: int, d: int, query_id: Union[int, str], k: Union[int, float],
-    stats: Optional[QueryStats] = None, **aggregates: Union[int, float],
-) -> dict:
-    """One CSV row; pass a QueryStats for per-query rows or aggregates by name."""
-    row: dict = {"n": n, "d": d, "query_id": query_id, "k": k}
-    if stats is not None:
-        row["nodes_visited"] = stats.nodes_visited
-        row["leaves_scanned"] = stats.leaves_scanned
-        row["points_tested"] = stats.points_tested
-    row.update(aggregates)
-    return row
+def stats_row(n: int, d: int, query_id: int, k: int, stats: QueryStats) -> dict:
+    """One per-query CSV row; the counters after k are read from stats by their
+    STATS_HEADER names."""
+    return {"n": n, "d": d, "query_id": query_id, "k": k,
+            **{name: getattr(stats, name) for name in STATS_HEADER[4:]}}

@@ -16,7 +16,7 @@ from srlb.bench import (
 )
 from srlb.errors import InstanceTooLarge, InsufficientData, RangeTooTight
 from srlb.geometry import normalize_params
-from srlb.io import stats_row
+from srlb.io import STATS_HEADER
 
 
 def plan_rows(plan):
@@ -46,14 +46,15 @@ class TestExperimentPlan:
             ExperimentPlan(d=2, sizes=(64, 66), t_rule="fixed:4", seed=0)
 
     def test_bad_rule(self):
-        with pytest.raises(ValueError):
-            ExperimentPlan(d=2, sizes=(64,), t_rule="random", seed=0)
-        # A fixed t is a decimal integer; int() alone would also take " 4" and "+4".
-        for rule in ("fixed:x", "fixed:", "fixed:1.5", "fixed: 4", "fixed:+4", "fixed:-4",
-                     "fixed:4:4", "Fixed:4", "auto:4"):
+        for rule in ("random", "fixed:", "fixed:-4", "Fixed:4", "auto:4"):
             message = f"t rule must be 'auto' or 'fixed:<t>', got {rule!r}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 ExperimentPlan(d=2, sizes=(64,), t_rule=rule, seed=0)
+        # A fixed t is read by exact.integer; int() alone would also take " 4" and "+4".
+        for t in ("x", "1.5", " 4", "+4", "4:4"):
+            message = f"--t-rule: {t!r} is not an integer"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ExperimentPlan(d=2, sizes=(64,), t_rule=f"fixed:{t}", seed=0)
 
     def test_infeasible_pair_rejected_up_front(self):
         with pytest.raises(RangeTooTight):
@@ -112,11 +113,8 @@ class TestRunInstance:
 
 
 class TestFit:
-    def synthetic_rows(self, values):
-        return [
-            stats_row(n, 2, "mean", 1, nodes_visited=v, leaves_scanned=1, points_tested=1)
-            for n, v in values
-        ]
+    def synthetic_rows(self, values, query_id="mean"):
+        return [dict(zip(STATS_HEADER, (n, 2, query_id, 1, v, 1, 1))) for n, v in values]
 
     def test_exact_linear_power_law(self):
         rows = self.synthetic_rows([(n, float(n)) for n in (2**10, 2**12, 2**14, 2**16)])
@@ -147,10 +145,7 @@ class TestFit:
 
     def test_only_mean_rows_used(self):
         rows = self.synthetic_rows([(n, float(n)) for n in (16, 64, 256)])
-        rows.append(stats_row(999, 2, "max", 1, nodes_visited=1e9,
-                              leaves_scanned=1, points_tested=1))
-        rows.append(stats_row(999, 2, 7, 1, nodes_visited=1e9,
-                              leaves_scanned=1, points_tested=1))
+        rows += self.synthetic_rows([(999, 1e9)], "max") + self.synthetic_rows([(999, 1e9)], 7)
         fit = fit_from_rows(rows)
         assert fit.points_used == 3
         assert abs(fit.slope - 1.0) < 1e-9
@@ -180,13 +175,15 @@ class TestRunPlan:
         monkeypatch.setattr(srlb.bench, "generate_points",
                             lambda params: generated.append(params) or [])
         monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", cost - 1)
+        # The plan is the pre-flight: making it charges every size.
         with pytest.raises(InstanceTooLarge,
                            match=f"size n = 256: .* {cost} bytes, over the budget of {cost - 1}"):
-            run_plan(plan)
+            ExperimentPlan(d=2, sizes=(64, 256), t_rule="fixed:2", seed=0)
         assert generated == []
         monkeypatch.undo()
         monkeypatch.setattr(srlb.exact, "MEMORY_BUDGET", cost)
-        assert [row for _, row in run_plan(plan)] == plan_rows(plan)
+        charged = ExperimentPlan(d=2, sizes=(64, 256), t_rule="fixed:2", seed=0)
+        assert plan_rows(charged) == plan_rows(plan)
 
     @pytest.mark.parametrize("d,leaf_capacity", [(2, 1), (2, 4), (3, 4), (3, 8)])
     def test_peak_bytes_bounds_the_traced_peak(self, traced_peak, d, leaf_capacity):

@@ -24,6 +24,12 @@ from srlb.errors import InstanceTooLarge
 from srlb.incidence import IncidenceGraph, charge_verify, verify_instance
 from srlb.io import STATS_HEADER, load_instance, read_stats_csv
 
+# Forms that int() takes and the command line's one integer grammar (an
+# optional '-', then ASCII decimal digits) refuses; the last is ARABIC-INDIC
+# DIGIT THREE.
+NOT_INTEGERS = {"plus_sign": "+4", "leading_space": " 7", "underscores": "1_0_2_4",
+                "non_ascii_digit": "٣"}
+
 
 def run_cli(capsys, *argv):
     rc = main(list(argv))
@@ -546,6 +552,20 @@ class TestBenchAndFit:
         assert (rc, stdout, stderr) == (2, "", error)
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,name,value", [
+        ("--seed", "seed", 10**20), ("--seed", "seed", -(2**63) - 1),
+        ("--leaf-capacity", "leaf capacity", 10**20),
+    ])
+    def test_bench_refuses_seed_and_leaf_capacity_beyond_int64(self, tmp_path, capsys,
+                                                               option, name, value):
+        # Both once went into the CSV comment line as given.
+        out = tmp_path / "x.csv"
+        rc, stdout, stderr = run_cli(capsys, "bench", "-d", "2", "--sizes", "64,128,256",
+                                     option, str(value), "--out", str(out))
+        error = f"error: {name} = {value} exceeds the 64-bit safe envelope\n"
+        assert (rc, stdout, stderr) == (2, "", error)
+        assert not out.exists()
+
     @pytest.mark.parametrize("capacity", ["0", "-1"])
     def test_bench_refuses_leaf_capacity_below_one_before_the_file(self, tmp_path, capsys,
                                                                     capacity):
@@ -604,6 +624,9 @@ class TestBenchAndFit:
         *((column, value) for value in ("nan", "inf", "0", "-1")
           for column in ("n", "nodes_visited")),
         ("n", "16.5"), ("n", "abc"), ("nodes_visited", "abc"),
+        # Read through int() and float(), these were fitted: 1_0 as 10.
+        *(("n", form) for form in NOT_INTEGERS.values()),
+        *(("nodes_visited", form) for form in NOT_INTEGERS.values() if form != "+4"),
     ])
     def test_fit_rejects_mean_row_without_a_logarithm(self, tmp_path, capsys, column, value):
         rows = [{"n": n, "nodes_visited": n // 8} for n in (256, 1024, 4096)]
@@ -611,7 +634,7 @@ class TestBenchAndFit:
         out = tmp_path / "stats.csv"
         out.write_text(",".join(STATS_HEADER) + "\n" + "".join(
             f"{r['n']},2,mean,1,{r['nodes_visited']},1,1\n" for r in rows
-        ))
+        ), encoding="utf-8")
         rc, stdout, stderr = run_cli(capsys, "fit", str(out))
         assert (rc, stdout) == (2, "")
         assert stderr.startswith("error: mean row ") and f"{column}={value}" in stderr
@@ -713,6 +736,18 @@ class TestBound:
                                      "--space", space)
         assert (rc, stdout, stderr) == (2, "", f"error: {error}\n")
 
+    def test_figure_of_merit_beyond_int64(self, tmp_path, capsys):
+        # m * t / beta has 65 bits; bound once printed it as "num".
+        argv = ["-d", "3", "-n", "39000000", "-t", "4"]
+        rc, stdout, stderr = run_cli(capsys, "bound", *argv)
+        error = "figure of merit numerator = 34328125000000000000 exceeds the 64-bit safe envelope"
+        assert (rc, stdout, stderr) == (2, "", f"error: {error}\n")
+        # gen reports the same bound, but its verify pre-flight refuses the instance first.
+        out = tmp_path / "x.json"
+        rc, stdout, stderr = run_cli(capsys, "gen", *argv, "--out", str(out))
+        assert (rc, stdout) == (3, "") and "budget" in stderr
+        assert not out.exists()
+
     def test_space_at_int64_max(self, capsys):
         rc, stdout, _ = run_cli(capsys, "bound", "-d", "2", "-n", "16", "-t", "2",
                                 "--space", str(srlb.exact.INT64_MAX))
@@ -788,11 +823,6 @@ def test_bench_csv_and_fit_stdout_are_pinned(d, sizes, tmp_path, capsys):
     assert run_cli(capsys, "fit", str(out))[:2] == (0, fit_stdout)
 
 
-# Forms that int() takes and the command line's one integer grammar (an
-# optional '-', then ASCII decimal digits) refuses; the last is ARABIC-INDIC
-# DIGIT THREE.
-NOT_INTEGERS = {"plus_sign": "+4", "leading_space": " 7", "underscores": "1_0_2_4",
-                "non_ascii_digit": "٣"}
 VALID_OPTIONS = {
     "gen": {"-d": "2", "-n": "16", "-t": "2"},
     "bench": {"-d": "2", "--sizes": "64", "--t-rule": "auto", "--seed": "0",

@@ -32,6 +32,7 @@ from srlb.io import (
     save_instance,
     stats_row,
 )
+from srlb.reporting import QueryStats
 
 
 class TestParamsSchema:
@@ -592,11 +593,11 @@ class TestBoundReportSchema:
 
 class TestStatsCsv:
     def test_round_trip_with_comment(self, tmp_path):
-        rows = [
-            stats_row(16, 2, 0, 2, nodes_visited=7, leaves_scanned=2, points_tested=8),
-            stats_row(16, 2, "mean", 2.0, nodes_visited=7.5, leaves_scanned=2.0,
-                      points_tested=8.0),
-        ]
+        rows = [dict(zip(STATS_HEADER, (16, 2, 0, 2, 7, 2, 8))),
+                dict(zip(STATS_HEADER, (16, 2, "mean", 2.0, 7.5, 2.0, 8.0)))]
+        # A per-query row takes its counters from a QueryStats by the header's names.
+        stats = QueryStats(nodes_visited=7, leaves_scanned=2, points_reported=2, points_tested=8)
+        assert stats_row(16, 2, 0, 2, stats) == rows[0]
         path = tmp_path / "stats.csv"
         with StatsCsvWriter(path, comment="ts 2024") as writer:
             writer.write_rows(rows)
@@ -618,9 +619,7 @@ class TestStatsCsv:
     def test_streaming_writer_flushes_partial(self, tmp_path):
         path = tmp_path / "partial.csv"
         writer = StatsCsvWriter(path)
-        writer.write_rows(
-            [stats_row(16, 2, 0, 2, nodes_visited=7, leaves_scanned=2, points_tested=8)]
-        )
+        writer.write_rows([dict(zip(STATS_HEADER, (16, 2, 0, 2, 7, 2, 8)))])
         # Rows already on disk before close.
         assert len(read_stats_csv(path)) == 1
         writer.close()

@@ -115,6 +115,26 @@ def test_one_row_converter():
     assert alternates == []
 
 
+def callers(name):
+    """(module, scope) of every call to `name` in src/srlb."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for scope, node in scopes(ast.parse(path.read_text())):
+            if any(callee(child.func) == name for child in ast.walk(node)
+                   if isinstance(child, ast.Call)):
+                found.add((path.name, scope))
+    return found
+
+
+def test_one_owner_of_the_bench_front_end_rules():
+    # exact.integer alone reads integers written as text: options, the t of
+    # fixed:<t> and the n of a stats row.  The plan alone makes the bench
+    # pre-flight, so run_plan and the command charge nothing of their own.
+    assert {method: callers(method) for method in ("isdigit", "isdecimal", "isnumeric")} == {
+        "isdigit": {("exact.py", "integer")}, "isdecimal": set(), "isnumeric": set()}
+    assert callers("peak_bytes") == {("bench.py", "ExperimentPlan.__post_init__")}
+
+
 def annotation_nodes(tree):
     """The ids of every node inside an annotation: of an argument, a
     variable or a return."""
